@@ -6,18 +6,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable
 
 from .forests import (
+    BLACK,
     DupForest,
     EMPTY,
     WHITE,
     compact_key,
-    forest_upset,
     key_successors,
 )
 from .posets import DEFAULT_BUDGET, ExplorationError
-from .rewrite import explore_component, load_system
 from .terms import (
     Application,
     Basic,
@@ -31,7 +30,6 @@ from .terms import (
     subterm_at,
 )
 
-_SYS_M = load_system("builtin:M")
 _M = basic("M")
 
 _FR_MEMO: dict[Term, DupForest] = {}
@@ -95,8 +93,8 @@ class IsoReport:
     forest_count: int
     fr_injective_on_upset: bool
     cover_preserving: bool
-    method: str  # "fr" | "digraph"
-    verdict: str  # "isomorphic" | "mismatch(<details>)"
+    method: str  # "fr-transport"
+    verdict: str  # "isomorphic" | "inconclusive(<details>)"
 
     @property
     def isomorphic(self) -> bool:
@@ -143,6 +141,104 @@ def fire_redex(t: Term, path: tuple[int, ...]) -> Term:
     return replace_at(t, path, app(s, s))
 
 
+# ---------------------------------------------------------------------------
+# Terms over {M} as prefix strings
+#
+# "." is an application, "M" the combinator, and each variable one token
+# drawn from a per-term table.  The string of an application is "." followed
+# by the strings of its left and right subterms, so a subterm is a substring.
+
+_VARIABLE_TOKENS = 0x100  # first code point handed out to variables
+
+
+def encode_term(t: Term) -> tuple[str, dict[str, Term]]:
+    """Prefix key of a term over {M}, and the table from token to leaf that
+    decodes it."""
+    leaves: dict[str, Term] = {"M": _M}
+    tokens: dict[Term, str] = {_M: "M"}
+    out: list[str] = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Application):
+            out.append(".")
+            stack.append(u.right)
+            stack.append(u.left)
+            continue
+        token = tokens.get(u)
+        if token is None:
+            if isinstance(u, Basic):
+                raise TermError(f"foreign combinator {u.name} (alphabet is {{M}})")
+            token = tokens[u] = chr(_VARIABLE_TOKENS + len(leaves))
+            leaves[token] = u
+        out.append(token)
+    return "".join(out), leaves
+
+
+def decode_term(key: str, leaves: dict[str, Term]) -> Term:
+    """The term of a prefix key made by encode_term with the same table."""
+    stack: list[Term] = []
+    for token in reversed(key):
+        if token == ".":
+            left = stack.pop()
+            stack.append(app(left, stack.pop()))
+        else:
+            stack.append(leaves[token])
+    (t,) = stack
+    return t
+
+
+def key_redex_successors(key: str) -> list[str]:
+    """Prefix keys of the terms one progressing redex away, in the order of
+    progressing_redexes: every ".M<s>" with s != M becomes ".<s><s>"."""
+    out = []
+    i = key.find(".M")
+    while i >= 0:
+        j = i + 2
+        if key[j] != "M":
+            # s ends where its leaves first outnumber its applications
+            end = j
+            need = 1
+            while need:
+                need += 1 if key[end] == "." else -1
+                end += 1
+            arg = key[j:end]
+            out.append(f"{key[:i + 1]}{arg}{arg}{key[end:]}")
+        i = key.find(".M", j)
+    return out
+
+
+def erase_black(key: str) -> str:
+    """Compact forest key with every black node spliced out: its children
+    take its place among its siblings, and a white node left without
+    children renders as a plain w."""
+    out: list[str] = []
+    black_parens: list[bool] = []
+    for i, c in enumerate(key):
+        if c == "(":
+            black_parens.append(key[i - 1] == BLACK)
+            if not black_parens[-1]:
+                out.append(c)
+        elif c == ")":
+            if not black_parens.pop():
+                out.append(c)
+        elif c == WHITE:
+            out.append(c)
+    return "".join(out).replace("()", "")
+
+
+def _fr_injective(forest_keys: Iterable[str]) -> bool:
+    """Whether literal fr is injective on an upset, given the transported
+    forest keys of its elements; stops at the first repeated image."""
+    images: set[str] = set()
+    for key in forest_keys:
+        image = erase_black(key)
+        if image in images:
+            return False
+        images.add(image)
+    return True
+
+
 def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     """Check that the upset of t and the upset of fr_map(t) are isomorphic
     posets, using fr transported along rewrite steps as the candidate map.
@@ -151,43 +247,49 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     the isomorphism; instead its local structure is transported: the i-th
     progressing redex of a term is paired with the i-th white node of its
     assigned forest, and firing the redex is matched with blackening the
-    node.  The product graph is explored breadth-first from (t, fr(t)).  If
-    the resulting term-to-forest assignment is well defined (independent of
-    the path taken) and injective, and the out-degrees agree everywhere,
-    then it is a bijection matching non-loop steps on both sides — a poset
-    isomorphism witnessed constructively.  If the transport breaks down,
-    both posets are built explicitly and compared by generic digraph
-    isomorphism (feasible for small components only).
+    node.  The product graph is explored breadth-first from (t, fr(t)) over
+    pairs of strings, the prefix key of the term (encode_term) and the
+    compact key of the forest, by string surgery on both sides
+    (key_redex_successors, key_successors); no Term is built.  If the
+    resulting term-to-forest assignment is well defined (independent of the
+    path taken) and injective, and the out-degrees agree everywhere, then it
+    is a bijection matching non-loop steps on both sides — a poset
+    isomorphism witnessed constructively.
+
+    Literal fr of an upset element is its transported forest with the black
+    nodes erased (erase_black), so fr_injective_on_upset is read off the
+    forest keys, without translating any element.
+
+    If the transport breaks down, the verdict is
+    ``inconclusive(<detail>)``, naming the offending term: a failed
+    transport does not prove the posets non-isomorphic.  The counts are
+    then those of the pairs reached before the break.
     """
     start_key = compact_key(fr_map(t))
-    assignment: dict[Term, str] = {t: start_key}
+    start, leaves = encode_term(t)
+    assignment: dict[str, str] = {start: start_key}
     forest_keys: set[str] = {start_key}
-    queue: deque[Term] = deque([t])
+    queue: deque[str] = deque([start])
     consistent = True
-    injective = True
     detail = ""
 
-    while queue and consistent and injective:
+    while queue and not detail:
         u = queue.popleft()
-        key = assignment[u]
-        redexes = progressing_redexes(u)
-        blackenings = key_successors(key)
-        if len(redexes) != len(blackenings):
+        fired = key_redex_successors(u)
+        blackenings = key_successors(assignment[u])
+        if len(fired) != len(blackenings):
             consistent = False
-            detail = f"out-degree mismatch at {render_term(u)}"
-            break
-        for path, key2 in zip(redexes, blackenings):
-            v = fire_redex(u, path)
+            detail = f"out-degree mismatch at {render_term(decode_term(u, leaves))}"
+        for v, key2 in zip(fired, blackenings):
             seen_key = assignment.get(v)
             if seen_key is not None:
                 if seen_key != key2:
                     consistent = False
-                    detail = f"transport conflict at {render_term(v)}"
+                    detail = f"transport conflict at {render_term(decode_term(v, leaves))}"
                     break
                 continue
             if key2 in forest_keys:
-                injective = False
-                detail = f"forest collision at {render_term(v)}"
+                detail = f"forest collision at {render_term(decode_term(v, leaves))}"
                 break
             if len(assignment) >= budget:
                 raise ExplorationError("budget exhausted during verification")
@@ -195,32 +297,9 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
             forest_keys.add(key2)
             queue.append(v)
 
-    if consistent and injective:
-        # Whether literal fr is injective on the upset is incidental to the
-        # verdict; report it when cheap to know.
-        fr_injective = False
-        if len(assignment) <= 10_000:
-            images = {compact_key(fr_map(u)) for u in assignment}
-            fr_injective = len(images) == len(assignment)
-        return IsoReport(
-            term=t, term_count=len(assignment), forest_count=len(forest_keys),
-            fr_injective_on_upset=fr_injective, cover_preserving=True,
-            method="fr-transport", verdict="isomorphic")
-
-    # The transported map is not the witnessing isomorphism here; fall back
-    # to generic digraph isomorphism of the two step graphs (no self-loops).
-    import networkx as nx
-
-    term_poset = explore_component(_SYS_M, t, "up", budget=budget)
-    forest_poset = forest_upset(fr_map(t), budget=budget)
-    g1 = nx.DiGraph(term_poset.nonloop_edges())
-    g1.add_nodes_from(range(len(term_poset.nodes)))
-    g2 = nx.DiGraph(forest_poset.nonloop_edges())
-    g2.add_nodes_from(range(len(forest_poset.nodes)))
-    iso = nx.is_isomorphic(g1, g2)
-    verdict = "isomorphic" if iso else f"mismatch({detail or 'digraphs differ'})"
     return IsoReport(
-        term=t, term_count=len(term_poset.nodes),
-        forest_count=len(forest_poset.nodes),
-        fr_injective_on_upset=False, cover_preserving=consistent,
-        method="digraph", verdict=verdict)
+        term=t, term_count=len(assignment), forest_count=len(forest_keys),
+        fr_injective_on_upset=not detail and _fr_injective(assignment.values()),
+        cover_preserving=consistent,
+        method="fr-transport",
+        verdict=f"inconclusive({detail})" if detail else "isomorphic")

@@ -1,10 +1,16 @@
 import random
+import re
 
 import pytest
 
+from mockingbird import bridge, terms
 from mockingbird.bridge import (
+    decode_term,
+    encode_term,
+    erase_black,
     fire_redex,
     fr_map,
+    key_redex_successors,
     progressing_redexes,
     right_comb,
     verify_fr_isomorphism,
@@ -13,12 +19,13 @@ from mockingbird.forests import (
     compact_key,
     forest_upset,
     is_white_only,
+    key_successors,
     ladder,
     render_forest,
 )
 from mockingbird.oracle import all_combinators
 from mockingbird.posets import ExplorationError
-from mockingbird.rewrite import load_system, step_successors
+from mockingbird.rewrite import explore_component, load_system, step_successors
 from mockingbird.terms import TermError, parse_term
 
 SYS_M = load_system("builtin:M")
@@ -101,6 +108,63 @@ class TestProgressingRedexes:
             assert len(progressing_redexes(t)) == white_count(fr_map(t))
 
 
+class TestStringKeys:
+    def test_encoding(self):
+        key, leaves = encode_term(parse_term("M(x1 x2)M", {"M"}))
+        assert key[:4] == "..M." and key[-1] == "M"
+        assert len(key) == 7 and len(set(key[4:6])) == 2
+        assert decode_term(key, leaves) == parse_term("M(x1 x2)M", {"M"})
+
+    def test_foreign_combinator(self):
+        with pytest.raises(TermError):
+            encode_term(parse_term("MK", {"M", "K"}))
+
+    def test_round_trip_deep_term(self):
+        t = TM("M")
+        for _ in range(5000):
+            t = terms.app(t, TM("M"))
+        key, leaves = encode_term(t)
+        assert len(key) == 10_001
+        assert decode_term(key, leaves) is t
+
+    @pytest.mark.parametrize("variables", [0, 2])
+    def test_string_step_matches_rewrite_system(self, variables):
+        from tests_util import random_m_term
+
+        rng = random.Random(33 + variables)
+        for _ in range(500):
+            t = random_m_term(rng, rng.randint(0, 6), variables)
+            key, leaves = encode_term(t)
+            fired = [decode_term(k, leaves) for k in key_redex_successors(key)]
+            assert fired == [fire_redex(t, p) for p in progressing_redexes(t)]
+            assert set(fired) == step_successors(SYS_M, t) - {t}
+
+    def test_erase_black(self):
+        assert erase_black("") == ""
+        assert erase_black("b") == ""
+        assert erase_black("w(b)w") == "ww"
+        assert erase_black("b(w(b(ww))w(b(ww)))") == "w(ww)w(ww)"
+
+    def test_erasure_of_transported_key_is_fr_degree_le_5(self):
+        # walk the transport, keeping every (term key, forest key) pair
+        for degree in range(6):
+            for t in all_combinators(degree):
+                start, leaves = encode_term(t)
+                assignment = {start: compact_key(fr_map(t))}
+                frontier = [start]
+                while frontier:
+                    u = frontier.pop()
+                    pairs = zip(key_redex_successors(u),
+                                key_successors(assignment[u]), strict=True)
+                    for v, key in pairs:
+                        if v not in assignment:
+                            assignment[v] = key
+                            frontier.append(v)
+                for u, key in assignment.items():
+                    assert erase_black(key) == \
+                        compact_key(fr_map(decode_term(u, leaves)))
+
+
 class TestIsomorphism:
     def test_fig_case(self):
         rep = verify_fr_isomorphism(TM("M(M(MM))"))
@@ -142,6 +206,38 @@ class TestIsomorphism:
         for d in range(1, 6):
             rep = verify_fr_isomorphism(right_comb(d))
             assert rep.term_count == sizes[d]
+
+    @pytest.mark.parametrize("text", ["Mx1", "M(x1(M(MM)))", "x1(M(Mx2))"])
+    def test_terms_with_variables(self, text):
+        t = parse_term(text, {"M"})
+        rep = verify_fr_isomorphism(t)
+        assert rep.isomorphic, rep.verdict
+        assert rep.term_count == rep.forest_count == \
+            len(explore_component(SYS_M, t, "up").nodes)
+
+    def test_builds_no_terms(self):
+        t = right_comb(5)
+        before = len(terms._APP_CACHE)
+        assert verify_fr_isomorphism(t).term_count == 1806
+        assert len(terms._APP_CACHE) == before
+
+    def test_failed_transport_is_inconclusive(self, monkeypatch):
+        # pairing redexes with white nodes in the wrong order breaks the
+        # transport; that proves nothing about the posets
+        monkeypatch.setattr(bridge, "key_successors",
+                            lambda key: key_successors(key)[::-1])
+        t = TM("M(M(M(MM)))")
+        rep = verify_fr_isomorphism(t)
+        assert not rep.isomorphic
+        assert rep.method == "fr-transport"
+        assert not rep.fr_injective_on_upset
+        match = re.fullmatch(
+            r"inconclusive\((out-degree mismatch|transport conflict|"
+            r"forest collision) at (\S+)\)", rep.verdict)
+        assert match, rep.verdict
+        culprit = parse_term(match.group(2), {"M"})
+        assert terms.render_term(culprit) == match.group(2)
+        assert culprit in explore_component(SYS_M, t, "up").nodes
 
     def test_budget_exhaustion(self):
         with pytest.raises(ExplorationError):
