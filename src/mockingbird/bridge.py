@@ -6,14 +6,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .forests import (
     BLACK,
     DupForest,
     EMPTY,
     WHITE,
-    compact_key,
     key_successors,
 )
 from .posets import DEFAULT_BUDGET, ExplorationError
@@ -188,6 +187,28 @@ def decode_term(key: str, leaves: dict[str, Term]) -> Term:
     return t
 
 
+def fr_key(key: str) -> str:
+    """Compact forest key of fr_map of the term with this prefix key.
+
+    One pass over the tokens in reverse, as decode_term does, so deep terms
+    need no recursion.  The stack holds the forest key of each subterm, or
+    None for the combinator M; a variable's key is empty, so a variable
+    head and an application head both concatenate."""
+    stack: list[Optional[str]] = []
+    for token in reversed(key):
+        if token != ".":
+            stack.append(None if token == "M" else "")
+            continue
+        left, right = stack.pop(), stack.pop()
+        if left is not None:
+            stack.append(left + right if right else left)
+        elif right is None:  # M M
+            stack.append("")
+        else:
+            stack.append(f"w({right})" if right else "w")
+    return stack[0] or ""
+
+
 def key_redex_successors(key: str) -> list[str]:
     """Prefix keys of the terms one progressing redex away, in the order of
     progressing_redexes: every ".M<s>" with s != M becomes ".<s><s>"."""
@@ -265,8 +286,8 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     transport does not prove the posets non-isomorphic.  The counts are
     then those of the pairs reached before the break.
     """
-    start_key = compact_key(fr_map(t))
     start, leaves = encode_term(t)
+    start_key = fr_key(start)
     assignment: dict[str, str] = {start: start_key}
     forest_keys: set[str] = {start_key}
     queue: deque[str] = deque([start])

@@ -4,10 +4,14 @@ An :class:`ExploredPoset` is produced by breadth-first exploration (of term
 rewriting or forest duplication) and carries the raw step edges, including
 self-loops.  :func:`poset_analysis` derives the order-theoretic data:
 acyclicity, Hasse diagram (transitive reduction), extremal elements, and the
-lattice property checked brute-force over the explicit reachability relation.
+lattice property.
 
-Reachability is held as one Python integer bitset per node, which keeps the
-pairwise lattice check practical up to a few thousand nodes.
+Reachability is held as one Python integer bitset per node: ``reach[i]`` is
+the up-set of i.  The lattice check uses only these up-sets.  A finite
+non-empty poset is a lattice iff it has a bottom and every pair has a join,
+because the meet of a and b is the join of their common lower bounds, a set
+that holds the bottom.  :func:`down_sets` gives the down-sets as the
+reachability of the reversed step graph.
 """
 
 from __future__ import annotations
@@ -161,9 +165,11 @@ def _reachability(n: int, adj: list[list[int]],
 def poset_analysis(g: ExploredPoset, check_lattice: bool = True) -> ExploredPoset:
     """Fill acyclicity, Hasse edges, extremal sets, and the lattice flag.
 
-    Self-loops are ignored throughout.  The lattice check asks, for every
-    node pair, for a unique least upper bound and a unique greatest lower
-    bound within the component, straight from the reachability bitsets; it
+    Self-loops are ignored throughout.  The lattice check asks for a bottom
+    (a node whose up-set is every node) and, for every node pair, for a
+    join: a node whose up-set is the intersection of the pair's up-sets.
+    That suffices, since the meet of a and b is the join of their common
+    lower bounds, which are finitely many and include the bottom.  The check
     is quadratic in the node count and can be skipped for large posets
     (is_lattice then stays None).  Requires a complete exploration.  On a
     cyclic graph only the flags and extremal sets are meaningful;
@@ -208,26 +214,10 @@ def poset_analysis(g: ExploredPoset, check_lattice: bool = True) -> ExploredPose
     if not check_lattice:
         return g
 
-    up_index = {reach[i]: i for i in range(n)}
-    down = [1 << i for i in range(n)]
-    for i in range(n):
-        r = reach[i]
-        j = 0
-        while r:
-            if r & 1 and j != i:
-                down[j] |= 1 << i
-            r >>= 1
-            j += 1
-    down_index = {down[i]: i for i in range(n)}
-
-    g.is_lattice = True
-    for a in range(n):
-        da = down[a]
-        for b in range(a + 1, n):
-            if (reach[a] & reach[b]) not in up_index or \
-                    (da & down[b]) not in down_index:
-                g.is_lattice = False
-                return g
+    contains = set(reach).__contains__
+    g.is_lattice = (1 << n) - 1 in reach and all(
+        all(map(contains, map(reach[a].__and__, reach[a + 1:])))
+        for a in range(n - 1))
     return g
 
 
@@ -247,50 +237,33 @@ def brute_lub(g: ExploredPoset, a: int, b: int) -> Optional[int]:
 
 
 def brute_glb(g: ExploredPoset, a: int, b: int) -> Optional[int]:
-    if g.reach is None:
-        raise ExplorationError("run poset_analysis first")
-    n = len(g.nodes)
-    down_a = 0
-    down_b = 0
-    bit_a, bit_b = 1 << a, 1 << b
-    for i in range(n):
-        if g.reach[i] & bit_a:
-            down_a |= 1 << i
-        if g.reach[i] & bit_b:
-            down_b |= 1 << i
-    common = down_a & down_b
+    """Unique greatest lower bound of nodes a, b from the down-sets, or None
+    if it does not exist. Requires prior poset_analysis."""
+    down = down_sets(g)
+    common = down[a] & down[b]
+    # the GLB, if any, is the x in common whose whole down-set equals common
     for x in _bits(common):
-        down_x = 0
-        for i in range(n):
-            if g.reach[i] & (1 << x):
-                down_x |= 1 << i
-        if down_x == common:
+        if down[x] == common:
             return x
     return None
 
 
 def _bits(mask: int):
-    i = 0
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def down_sets(g: ExploredPoset) -> list[int]:
-    """Transpose of the reachability bitsets: down[j] has bit i iff i <= j."""
+    """Transpose of the reachability bitsets: down[j] has bit i iff i <= j.
+
+    This is the reachability of the reversed step graph."""
     if g.reach is None:
         raise ExplorationError("run poset_analysis first")
     n = len(g.nodes)
-    down = [0] * n
-    for i in range(n):
-        r = g.reach[i]
-        bit_i = 1 << i
-        j = 0
-        while r:
-            if r & 1:
-                down[j] |= bit_i
-            r >>= 1
-            j += 1
-    return down
+    radj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in g.step_edges:
+        if i != j:
+            radj[j].append(i)
+    return _reachability(n, radj, _topological_order(n, radj))

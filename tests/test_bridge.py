@@ -9,6 +9,7 @@ from mockingbird.bridge import (
     encode_term,
     erase_black,
     fire_redex,
+    fr_key,
     fr_map,
     key_redex_successors,
     progressing_redexes,
@@ -138,6 +139,7 @@ class TestStringKeys:
             fired = [decode_term(k, leaves) for k in key_redex_successors(key)]
             assert fired == [fire_redex(t, p) for p in progressing_redexes(t)]
             assert set(fired) == step_successors(SYS_M, t) - {t}
+            assert fr_key(key) == compact_key(fr_map(t))
 
     def test_erase_black(self):
         assert erase_black("") == ""
@@ -242,3 +244,13 @@ class TestIsomorphism:
     def test_budget_exhaustion(self):
         with pytest.raises(ExplorationError):
             verify_fr_isomorphism(right_comb(5), budget=100)
+
+    def test_deep_left_spine(self):
+        # ((MM)M)...M has no progressing redex: its upset is itself
+        rep = verify_fr_isomorphism(TM("M" * 3001))
+        assert rep.verdict == "isomorphic"
+        assert rep.term_count == 1
+
+    def test_deep_right_comb_hits_budget_not_recursion_limit(self):
+        with pytest.raises(ExplorationError):
+            verify_fr_isomorphism(right_comb(1200), budget=10)

@@ -1,0 +1,83 @@
+from hypothesis import given, settings, strategies as st
+
+from mockingbird.posets import (
+    ExploredPoset,
+    brute_glb,
+    brute_lub,
+    down_sets,
+    poset_analysis,
+)
+
+
+def analyzed(n, edges, labels=None):
+    g = ExploredPoset(nodes=list(labels or range(n)), step_edges=set(edges),
+                      is_complete=True)
+    return poset_analysis(g)
+
+
+@st.composite
+def dags(draw):
+    """Random DAGs of at most 9 nodes, with random distinct labels and the
+    node indices in random topological order, so the bottom (if any) can
+    sit at any index."""
+    n = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(n)))
+    edges = {(order[i], order[j])
+             for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    labels = draw(st.lists(st.text(max_size=3), min_size=n, max_size=n,
+                           unique=True))
+    return n, edges, labels
+
+
+@st.composite
+def digraphs(draw):
+    """Random digraphs of at most 9 nodes, cycles and self-loops allowed."""
+    n = draw(st.integers(1, 9))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.sets(pairs, max_size=3 * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags())
+def test_is_lattice_is_the_pairwise_definition(case):
+    n, edges, labels = case
+    g = analyzed(n, edges, labels)
+    pairwise = all(brute_lub(g, a, b) is not None and
+                   brute_glb(g, a, b) is not None
+                   for a in range(n) for b in range(a, n))
+    assert g.is_lattice is pairwise
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_down_sets_transpose_reach(case):
+    n, edges = case
+    g = analyzed(n, edges)
+    transpose = [sum(1 << i for i in range(n) if g.reach[i] >> j & 1)
+                 for j in range(n)]
+    assert down_sets(g) == transpose
+
+
+def test_bowtie_has_bottom_but_not_every_join():
+    # 0 < a, b < c, d < 5: a and b have two minimal upper bounds
+    a, b, c, d = 1, 2, 3, 4
+    g = analyzed(6, {(0, a), (0, b), (a, c), (a, d), (b, c), (b, d),
+                     (c, 5), (d, 5)})
+    assert g.minimal == {0}
+    assert brute_lub(g, a, b) is None
+    assert g.is_lattice is False
+
+
+def test_every_join_but_two_minimal_elements():
+    # a, b < c: every pair has a join, but a and b have no meet
+    g = analyzed(3, {(0, 2), (1, 2)})
+    assert all(brute_lub(g, x, y) is not None
+               for x in range(3) for y in range(3))
+    assert brute_glb(g, 0, 1) is None
+    assert g.is_lattice is False
+
+
+def test_one_node_is_a_lattice():
+    g = analyzed(1, {(0, 0)})
+    assert g.is_lattice is True
+    assert down_sets(g) == [1]
