@@ -31,12 +31,6 @@ from .terms import (
 
 _M = basic("M")
 
-_FR_MEMO: dict[Term, DupForest] = {}
-
-
-def clear_fr_memo() -> None:
-    _FR_MEMO.clear()
-
 
 def fr_map(t: Term) -> DupForest:
     """Forest translation of a term over {M} (variables allowed as inert
@@ -44,15 +38,6 @@ def fr_map(t: Term) -> DupForest:
     a lone white node; M applied to an application wraps a white node around
     the argument's forest; a left application concatenates; a variable head
     is transparent.  The image is always white-only."""
-    cached = _FR_MEMO.get(t)
-    if cached is not None:
-        return cached
-    result = _fr(t)
-    _FR_MEMO[t] = result
-    return result
-
-
-def _fr(t: Term) -> DupForest:
     if isinstance(t, Variable):
         return EMPTY
     if isinstance(t, Basic):

@@ -55,12 +55,7 @@ def export_graph(g: ExploredPoset, format: str = "json",
         payload = g.to_json_dict(label)
         if hasse_only:
             payload["step_edges"] = []
-            payload["hasse_edges"] = [list(e) for e in edges]
-        else:
-            payload["step_edges"] = [list(e) for e in payload["step_edges"]]
-            if payload["hasse_edges"] is not None:
-                payload["hasse_edges"] = [
-                    list(e) for e in payload["hasse_edges"]]
+            payload["hasse_edges"] = edges
         return json.dumps(payload, indent=2, sort_keys=True)
     if format == "dot":
         lines = ["digraph explored {"]

@@ -1,10 +1,11 @@
 """Explicit finite digraphs of one-step rewrites and their order analysis.
 
-An :class:`ExploredPoset` is produced by breadth-first exploration (of term
-rewriting or forest duplication) and carries the raw step edges, including
-self-loops.  :func:`poset_analysis` derives the order-theoretic data:
-acyclicity, Hasse diagram (transitive reduction), extremal elements, and the
-lattice property.
+An :class:`ExploredPoset` is produced by :func:`explore`, a single-pass
+breadth-first closure (of term rewriting or forest duplication) that
+computes each node's successors once, and carries the raw step edges,
+including self-loops.  :func:`poset_analysis` derives the order-theoretic
+data: acyclicity, Hasse diagram (transitive reduction), extremal elements,
+and the lattice property.
 
 Reachability is held as one Python integer bitset per node: ``reach[i]`` is
 the up-set of i.  The lattice check uses only these up-sets.  A finite
@@ -54,9 +55,6 @@ class ExploredPoset:
     def self_loops(self) -> set[tuple[int, int]]:
         return {(i, j) for (i, j) in self.step_edges if i == j}
 
-    def index_of(self, node: Hashable) -> int:
-        return self.nodes.index(node)
-
     def to_json_dict(self, label: Callable[[Any], str]) -> dict:
         flags = {
             "is_complete": self.is_complete,
@@ -77,42 +75,42 @@ class ExploredPoset:
 
 
 def explore(start: Hashable,
-            neighbors: Callable[[Any], Iterable],
+            successors: Callable[[Any], Iterable],
             budget: int = DEFAULT_BUDGET,
             sort_key: Callable[[Any], Any] = None,
-            edge_source: Callable[[Any], Iterable] = None) -> ExploredPoset:
-    """Generic deduplicated BFS closure.
+            predecessors: Callable[[Any], Iterable] = None) -> ExploredPoset:
+    """Deduplicated breadth-first closure of ``successors`` from ``start``.
 
-    ``neighbors`` drives discovery; ``edge_source`` (defaults to neighbors)
-    lists the step successors used to record directed edges.  Discovery order
-    is deterministic: neighbor sets are sorted by ``sort_key``.
+    One pass over the growing ``nodes`` list, which is the queue: each node's
+    successors are computed once, its fresh neighbours are indexed in
+    ``sort_key`` order (so discovery order is deterministic), and its edges
+    to indexed successors are recorded on the spot.  A neighbour left out
+    for the budget is never indexed later, so no edge is missed.  With
+    ``predecessors``, discovery also follows predecessors (the whole
+    equivalence class), while edges still come from successors only.
     """
     if budget < 1:
         raise ExplorationError("budget must be >= 1")
     if sort_key is None:
         sort_key = repr
-    if edge_source is None:
-        edge_source = neighbors
 
     index: dict[Hashable, int] = {start: 0}
     nodes: list = [start]
-    queue: deque = deque([start])
+    edges: set[tuple[int, int]] = set()
     complete = True
 
-    while queue:
-        u = queue.popleft()
-        for v in sorted(set(neighbors(u)), key=sort_key):
-            if v not in index:
-                if len(nodes) >= budget:
-                    complete = False
-                    continue
+    for i, u in enumerate(nodes):
+        succs = set(successors(u))
+        found = succs if predecessors is None else succs | set(predecessors(u))
+        fresh = [v for v in found if v not in index]
+        room = budget - len(nodes)
+        if len(fresh) > room:
+            complete = False
+        if fresh and room:
+            for v in sorted(fresh, key=sort_key)[:room]:
                 index[v] = len(nodes)
                 nodes.append(v)
-                queue.append(v)
-
-    edges: set[tuple[int, int]] = set()
-    for u, i in index.items():
-        for v in edge_source(u):
+        for v in succs:
             j = index.get(v)
             if j is not None:
                 edges.add((i, j))
@@ -237,13 +235,16 @@ def brute_lub(g: ExploredPoset, a: int, b: int) -> Optional[int]:
 
 
 def brute_glb(g: ExploredPoset, a: int, b: int) -> Optional[int]:
-    """Unique greatest lower bound of nodes a, b from the down-sets, or None
-    if it does not exist. Requires prior poset_analysis."""
-    down = down_sets(g)
-    common = down[a] & down[b]
-    # the GLB, if any, is the x in common whose whole down-set equals common
-    for x in _bits(common):
-        if down[x] == common:
+    """Unique greatest lower bound of nodes a, b from explicit reachability,
+    or None if it does not exist. Requires prior poset_analysis."""
+    if g.reach is None:
+        raise ExplorationError("run poset_analysis first")
+    both = 1 << a | 1 << b
+    lower = [x for x, r in enumerate(g.reach) if r & both == both]
+    # the GLB, if any, is the common lower bound every other one reaches
+    for x in lower:
+        bit = 1 << x
+        if all(g.reach[y] & bit for y in lower):
             return x
     return None
 

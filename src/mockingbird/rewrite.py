@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import AbstractSet, Mapping, Optional
 
 from .posets import DEFAULT_BUDGET, ExploredPoset, explore
 from .terms import (
@@ -177,21 +177,21 @@ def explore_component(sys: CLSystem, t: Term, direction: str = "up",
     """BFS closure from t: ``up`` follows successors only, ``class`` closes
     under successors and predecessors (the whole equivalence class)."""
     if direction == "up":
-        neighbors = lambda u: step_successors(sys, u)
+        predecessors = None
     elif direction == "class":
         if any(not hier for hier in is_hierarchical(sys).values()):
             warnings.warn(
                 "class exploration of a non-hierarchical system may not "
                 "terminate; relying on the node budget", stacklevel=2)
-        neighbors = lambda u: step_successors(sys, u) | step_predecessors(sys, u)
+        predecessors = lambda u: step_predecessors(sys, u)
     else:
         raise SystemError_(f"invalid direction {direction!r}")
     return explore(
         t,
-        neighbors,
+        lambda u: step_successors(sys, u),
         budget=budget,
         sort_key=_full_render,
-        edge_source=lambda u: step_successors(sys, u),
+        predecessors=predecessors,
     )
 
 
@@ -233,20 +233,27 @@ class ConfluenceReport:
         return not self.failures and not self.inconclusive
 
 
-def _upset_terms(sys: CLSystem, t: Term, budget: int) -> tuple[set[Term], bool]:
+def _walk_up(sys: CLSystem, t: Term, budget: int,
+             goal: AbstractSet[Term] = frozenset()) -> tuple[set[Term], str]:
+    """Breadth-first walk of the upset of t that keeps at most budget nodes.
+
+    Returns the kept nodes and a status: ``found`` as soon as t or a
+    successor lies in goal, ``truncated`` when a new node would pass the
+    budget, else ``complete``."""
     seen = {t}
-    frontier = [t]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in step_successors(sys, u):
-                if v not in seen:
-                    if len(seen) >= budget:
-                        return seen, False
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen, True
+    if t in goal:
+        return seen, "found"
+    queue = [t]
+    for u in queue:
+        for v in step_successors(sys, u):
+            if v in goal:
+                return seen, "found"
+            if v not in seen:
+                if len(seen) >= budget:
+                    return seen, "truncated"
+                seen.add(v)
+                queue.append(v)
+    return seen, "complete"
 
 
 def local_confluence_probe(sys: CLSystem, t: Term,
@@ -255,40 +262,15 @@ def local_confluence_probe(sys: CLSystem, t: Term,
     join_budget nodes for a common upper bound."""
     succs = sorted(step_successors(sys, t) - {t}, key=_full_render)
     report = ConfluenceReport(term=t, pairs_checked=0, joinable_pairs=0)
-    upsets: dict[Term, tuple[set[Term], bool]] = {}
-    for i, t1 in enumerate(succs):
+    for i, t1 in enumerate(succs[:-1]):
+        up1, status1 = _walk_up(sys, t1, join_budget)
         for t2 in succs[i + 1:]:
             report.pairs_checked += 1
-            if t1 not in upsets:
-                upsets[t1] = _upset_terms(sys, t1, join_budget)
-            up1, complete1 = upsets[t1]
-            if t2 in up1:
-                report.joinable_pairs += 1
-                continue
             # walk the upset of t2, stopping at the first meeting point
-            seen = {t2}
-            frontier = [t2]
-            found = False
-            truncated = not complete1
-            while frontier and not found:
-                nxt = []
-                for u in frontier:
-                    for v in step_successors(sys, u):
-                        if v in up1:
-                            found = True
-                            break
-                        if v not in seen:
-                            if len(seen) >= join_budget:
-                                truncated = True
-                                break
-                            seen.add(v)
-                            nxt.append(v)
-                    if found or truncated:
-                        break
-                frontier = nxt
-            if found:
+            _, status = _walk_up(sys, t2, join_budget, up1)
+            if status == "found":
                 report.joinable_pairs += 1
-            elif truncated:
+            elif "truncated" in (status, status1):
                 report.inconclusive.append((t1, t2))
             else:
                 report.failures.append((t1, t2))

@@ -2,6 +2,9 @@
 
 Terms are immutable trees with a structural hash cached at construction,
 so they can be used as dictionary keys during graph exploration at scale.
+Leaf hashes are built from integers, never from str hashing, so every term
+hash, and with it the iteration order of every term set, is the same in
+every process whatever ``PYTHONHASHSEED`` is.
 Application nodes are hash-consed through the :func:`app` factory; equality
 is structural with an identity fast path, so interning is an optimization,
 never a correctness requirement.
@@ -43,7 +46,7 @@ class Variable(Term):
         if index < 1:
             raise TermError(f"variable index must be >= 1, got {index}")
         self.index = index
-        self._hash = hash(("x", index))
+        self._hash = hash((1, index))
 
     def __hash__(self) -> int:
         return self._hash
@@ -61,7 +64,7 @@ class Basic(Term):
         if not name or not name[0].isupper():
             raise TermError(f"combinator name must start uppercase, got {name!r}")
         self.name = name
-        self._hash = hash(("C", name))
+        self._hash = hash((2, int.from_bytes(name.encode(), "big")))
 
     def __hash__(self) -> int:
         return self._hash
@@ -271,14 +274,6 @@ def compose(t: Term, args: Sequence[Term]) -> Term:
     if left is t.left and right is t.right:
         return t
     return app(left, right)
-
-
-def max_variable_index(t: Term) -> int:
-    if isinstance(t, Variable):
-        return t.index
-    if isinstance(t, Application):
-        return max(max_variable_index(t.left), max_variable_index(t.right))
-    return 0
 
 
 def variable_indices(t: Term) -> set[int]:

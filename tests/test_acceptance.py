@@ -117,7 +117,6 @@ def test_criterion_5b_isomorphism_degree_6():
         assert rep.term_count == rep.forest_count
     # the heavy right-comb run leaves large interning tables behind
     terms.clear_caches()
-    bridge.clear_fr_memo()
 
 
 def test_criterion_6_figure_checks():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mockingbird
 from mockingbird.cli import export_graph, main
 from mockingbird.posets import IncompleteExplorationError, poset_analysis
 from mockingbird.rewrite import explore_component, load_system
@@ -108,6 +113,20 @@ class TestReduceCheckFr:
         assert rows["rooted (unique minimal)"] == "True"
         assert rows["hierarchical[M]"] == "True"
         assert rows["confluence joinable"] == "True"
+
+    def test_check_verdict_independent_of_hash_seed(self):
+        # join budget 10 truncates the probe's upset walks, so the verdict
+        # rests on which nodes the walk keeps, i.e. on term-set order
+        src = str(Path(mockingbird.__file__).resolve().parents[1])
+        runs = []
+        for seed in ("1", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "mockingbird.cli", "check",
+                 "--join-budget", "10", "M(M(M(MM)))"],
+                env=env, capture_output=True, text=True, timeout=120)
+            runs.append((proc.returncode, proc.stdout))
+        assert runs[0] == runs[1]
 
     def test_check_ks(self, capsys):
         code, out, _ = run(capsys, "check", "S(KKS)K(SS)", "--system",

@@ -1,3 +1,5 @@
+from collections import Counter, deque
+
 from hypothesis import given, settings, strategies as st
 
 from mockingbird.posets import (
@@ -5,6 +7,7 @@ from mockingbird.posets import (
     brute_glb,
     brute_lub,
     down_sets,
+    explore,
     poset_analysis,
 )
 
@@ -35,6 +38,54 @@ def digraphs(draw):
     n = draw(st.integers(1, 9))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     return n, draw(st.sets(pairs, max_size=3 * n))
+
+
+def two_pass_explore(start, successors, budget, sort_key, predecessors):
+    """Reference closure: discover with a queue, then record the edges."""
+    index = {start: 0}
+    nodes = [start]
+    queue = deque([start])
+    complete = True
+    while queue:
+        u = queue.popleft()
+        found = set(successors(u))
+        if predecessors is not None:
+            found |= set(predecessors(u))
+        for v in sorted(found, key=sort_key):
+            if v not in index:
+                if len(nodes) >= budget:
+                    complete = False
+                    continue
+                index[v] = len(nodes)
+                nodes.append(v)
+                queue.append(v)
+    edges = {(i, index[v]) for u, i in index.items()
+             for v in successors(u) if v in index}
+    return nodes, edges, complete
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(), st.data())
+def test_explore_matches_two_pass_reference(case, data):
+    n, edges = case
+    start = data.draw(st.integers(0, n - 1))
+    budget = data.draw(st.integers(1, n + 1))
+    rank = {v: r for r, v in enumerate(data.draw(st.permutations(range(n))))}
+    succ = {u: [v for (w, v) in edges if w == u] for u in range(n)}
+    pred = {u: [w for (w, v) in edges if v == u] for u in range(n)}
+    predecessors = pred.__getitem__ if data.draw(st.booleans()) else None
+
+    calls = Counter()
+
+    def successors(u):
+        calls[u] += 1
+        return succ[u]
+
+    g = explore(start, successors, budget=budget, sort_key=rank.__getitem__,
+                predecessors=predecessors)
+    assert calls == Counter(g.nodes)
+    assert (g.nodes, g.step_edges, g.is_complete) == two_pass_explore(
+        start, succ.__getitem__, budget, rank.__getitem__, predecessors)
 
 
 @settings(max_examples=300, deadline=None)

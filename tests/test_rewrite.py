@@ -216,6 +216,13 @@ class TestConfluence:
         assert report.pairs_checked == 0
         assert report.all_joinable
 
+    def test_truncated_walk_is_inconclusive(self):
+        report = local_confluence_probe(SYS_M, TM("M(M(MM))"), join_budget=1)
+        assert report.pairs_checked > 0
+        assert report.inconclusive
+        assert not report.failures
+        assert not report.all_joinable
+
 
 class TestExtremal:
     def test_examples(self):
