@@ -66,7 +66,7 @@ def _sizes_ladder(count: int) -> list[int]:
 
 
 def _edges_ladder(count: int) -> list[int]:
-    sizes = _sizes_ladder(count)
+    sizes = _sizes_ladder(count - 1)  # edges at d read sizes at d-1
     out = [0]
     while len(out) < count:
         e, s = out[-1], sizes[len(out) - 1]
@@ -164,52 +164,87 @@ _LADDER_RECURRENCES = {
 }
 
 
-def _to_indexing(name: str, ladder_values: list[int], indexing: str,
-                 count: int) -> list[int]:
-    if indexing == "ladder":
-        return ladder_values[:count]
-    if indexing == "mockingbird":
-        if name in _POSET_SEQUENCES:
-            return ([_POSET_SEQUENCES[name]] + ladder_values)[:count]
-        return ladder_values[:count]
-    raise SequenceError(f"unknown indexing {indexing!r}")
+# Largest estimated size, in bits, of a recurrence or series request; see
+# _estimated_bits.  It admits intervals to conventional index 13 (ladder
+# depth 12) and sizes to index 25; each index past that at least doubles
+# the work.
+MAX_ESTIMATED_BITS = 1 << 25
+
+
+def _estimated_bits(name: str, ladder_count: int) -> int:
+    """Estimated bits held while computing the first ``ladder_count``
+    ladder-indexed values of ``name``.
+
+    The bit length of sizes, edges, intervals and classes at most doubles
+    per index from 2 bits at index 0; motzkin and min grow by less than 2
+    bits per index.  The interval family holds 2^top values of that size at
+    top index ``top``."""
+    if ladder_count == 0:
+        return 0
+    top = ladder_count - 1
+    if name in ("motzkin", "min"):
+        return 2 * ladder_count
+    bits = 2 << top
+    if name == "intervals":
+        bits <<= top
+    return bits
+
+
+def _ladder_count(name: str, count: int, indexing: str) -> int:
+    """Number of ladder-indexed values behind ``count`` values in
+    ``indexing``: the conventional indexing of a poset sequence prepends
+    the M(0) value, which costs nothing.  Refuses requests whose estimated
+    size exceeds MAX_ESTIMATED_BITS."""
+    if name not in _LADDER_RECURRENCES:
+        raise SequenceError(f"unknown sequence {name!r}")
+    if count < 1:
+        raise SequenceError("count must be >= 1")
+    if indexing not in ("ladder", "mockingbird"):
+        raise SequenceError(f"unknown indexing {indexing!r}")
+    ladder_count = count
+    if indexing == "mockingbird" and name in _POSET_SEQUENCES:
+        ladder_count -= 1
+    bits = _estimated_bits(name, ladder_count)
+    if bits > MAX_ESTIMATED_BITS:
+        raise SequenceError(
+            f"{name} with count {count} needs about {bits:,} bits, over the "
+            f"limit of {MAX_ESTIMATED_BITS:,}")
+    return ladder_count
+
+
+def _table(name: str, ladder_values: list[int], indexing: str,
+           method: str) -> SequenceTable:
+    values = ladder_values
+    if indexing == "mockingbird" and name in _POSET_SEQUENCES:
+        values = [_POSET_SEQUENCES[name]] + values
+    return SequenceTable(name=name, values=values, indexing=indexing,
+                         method=method)
 
 
 def seq_by_recurrence(name: str, count: int,
                       indexing: str = "mockingbird") -> SequenceTable:
-    if name not in _LADDER_RECURRENCES:
-        raise SequenceError(f"unknown sequence {name!r}")
-    if count < 1:
-        raise SequenceError("count must be >= 1")
-    values = _to_indexing(name, _LADDER_RECURRENCES[name](count), indexing,
-                          count)
-    return SequenceTable(name=name, values=values, indexing=indexing,
-                         method="recurrence")
+    ladder_count = _ladder_count(name, count, indexing)
+    return _table(name, _LADDER_RECURRENCES[name](ladder_count), indexing,
+                  "recurrence")
 
 
 def seq_by_series(name: str, count: int,
                   indexing: str = "mockingbird") -> SequenceTable:
-    if name not in _LADDER_RECURRENCES:
-        raise SequenceError(f"unknown sequence {name!r}")
-    if count < 1:
-        raise SequenceError("count must be >= 1")
-    solution = serieslib.solve_equation(name, count - 1)
-    if name == "intervals":
-        solution = solution[0]
-    values = _to_indexing(name, list(solution.coefficients), indexing, count)
-    return SequenceTable(name=name, values=values, indexing=indexing,
-                         method="series")
+    ladder_count = _ladder_count(name, count, indexing)
+    values: list[int] = []
+    if ladder_count:
+        solution = serieslib.solve_equation(name, ladder_count - 1)
+        if name == "intervals":
+            solution = solution[0]
+        values = list(solution.coefficients)
+    return _table(name, values, indexing, "series")
 
 
 def seq_by_oracle(name: str, count: int,
                   indexing: str = "mockingbird") -> SequenceTable:
     """Sequence values from explicit poset construction / census: slow and
     range-limited, the independent ground truth."""
-    if count < 1:
-        raise SequenceError("count must be >= 1")
-    ladder_count = count
-    if indexing == "mockingbird" and name in _POSET_SEQUENCES:
-        ladder_count = count - 1  # the prepended M(0) value is free
+    ladder_count = _ladder_count(name, count, indexing)
     ladder_values: list[int] = []
     if name in _POSET_SEQUENCES:
         for d in range(ladder_count):
@@ -226,9 +261,7 @@ def seq_by_oracle(name: str, count: int,
             ladder_values.append(oracle_extremal_census(d)[key])
     else:
         raise SequenceError(f"no oracle for sequence {name!r}")
-    values = _to_indexing(name, ladder_values, indexing, count)
-    return SequenceTable(name=name, values=values, indexing=indexing,
-                         method="oracle")
+    return _table(name, ladder_values, indexing, "oracle")
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,15 @@
 products, and fixpoint solving of the six counting equations.
 
 Every equation has the shape F = Phi(F) where each nonconstant term of Phi
-carries a factor z, so Phi is a contraction in the z-adic metric: iterating
-from the zero series fixes coefficient d after d+1 rounds.  Solvers run
-exactly N+1 rounds.
+carries a factor z, so Phi is a contraction in the z-adic metric: coefficient
+r of Phi(F) depends only on the coefficients of F below r.  Solvers run N+1
+rounds of growing order: round r works at truncation order r, on a series
+whose coefficients 0..r-1 are already exact, and fixes coefficient r.
+
+The catalytic interval family is solved differently at its low levels:
+coefficient d of F_k is the k-th moment of the upset sizes of the d-ladder
+upset, read off their exact distribution for d <= 4; the family's fixpoint
+runs only above that.
 """
 
 from __future__ import annotations
@@ -137,67 +143,110 @@ def substitute_z2(a: TruncSeries) -> TruncSeries:
 
 
 def _fixpoint(phi: Callable[[TruncSeries], TruncSeries], order: int) -> TruncSeries:
-    f = zero(order)
+    """Iterate F = Phi(F) from zero with round r at truncation order r.
+
+    ``phi`` builds its constants at the order of the series it is given."""
+    coefficients: tuple[int, ...] = ()
     for _ in range(order + 1):
-        f = phi(f)
-    return f
+        coefficients = phi(TruncSeries(coefficients + (0,))).coefficients
+    return TruncSeries(coefficients)
 
 
 def _solve_sizes(order: int) -> TruncSeries:
-    o = one(order)
-    return _fixpoint(lambda f: o + f.shift() + hadamard(f, f).shift(), order)
+    return _fixpoint(
+        lambda f: one(f.order) + f.shift() + hadamard(f, f).shift(), order)
 
 
 def _solve_edges(order: int) -> TruncSeries:
-    g = _solve_sizes(order)
-    return _fixpoint(
-        lambda f: f.shift() + g.shift() + hadamard(f, g).scale(2).shift(),
-        order)
+    # every sizes term carries a factor z, so only its coefficients below
+    # `order` are read
+    g = _solve_sizes(max(order - 1, 0))
+
+    def phi(f: TruncSeries) -> TruncSeries:
+        zf = f.shift()
+        zg = TruncSeries((0,) + g.coefficients[:f.order])
+        return zf + zg + hadamard(zf, zg).scale(2)
+
+    return _fixpoint(phi, order)
 
 
 def _solve_motzkin(order: int) -> TruncSeries:
-    base = one(order) + z(order)
-    return _fixpoint(lambda f: base + (f * f).shift() - f.shift(), order)
+    return _fixpoint(
+        lambda f: one(f.order) + z(f.order) + (f * f).shift() - f.shift(),
+        order)
 
 
 def _solve_min(order: int) -> TruncSeries:
-    base = one(order) + z(order)
     return _fixpoint(
-        lambda f: base + (f * f).shift() - substitute_z2(f).shift(), order)
+        lambda f: one(f.order) + z(f.order) + (f * f).shift()
+        - substitute_z2(f).shift(), order)
 
 
 def _solve_classes(order: int) -> TruncSeries:
-    base = one(order) + z(order)
     return _fixpoint(
-        lambda f: base + max_product(f, f).shift() - f.shift(), order)
+        lambda f: one(f.order) + z(f.order) + max_product(f, f).shift()
+        - f.shift(), order)
+
+
+# Levels of the interval family filled from upset-size moments.  The
+# distribution of P_4 has 52 distinct sizes, P_5 575; at orders 11 to 13,
+# four levels ran faster than three or five.
+_MOMENT_LEVELS = 4
+
+
+def _upset_size_distributions(levels: int) -> list[dict[int, int]]:
+    """For d = 0..levels, the multiset {|up x| : x in P_d} as a map from
+    size to multiplicity, where P_d is the upset of the d-ladder.
+
+    P_d consists of w(g) and b(g g') for g, g' in P_{d-1}, with
+    |up w(g)| = w_g (1 + w_g) and |up b(g g')| = w_g w_g', where w_g is
+    |up g|."""
+    dists = [{1: 1}]
+    for _ in range(levels):
+        prev = dists[-1]
+        dist: dict[int, int] = {}
+        for v, m in prev.items():
+            dist[v * (1 + v)] = dist.get(v * (1 + v), 0) + m
+            for v2, m2 in prev.items():
+                dist[v * v2] = dist.get(v * v2, 0) + m * m2
+        dists.append(dist)
+    return dists
 
 
 def solve_interval_family(order: int) -> dict[int, TruncSeries]:
-    """Joint fixpoint for the catalytic family F_k = 1 + z(F_k (.) F_k)
-    + z * sum over i in [0..k] of C(k,i) F_{k+i}.
+    """Joint solution of the catalytic family F_k = 1 + z(F_k (.) F_k)
+    + z * sum over i in [0..k] of C(k,i) F_{k+i}, for k <= 2^order.
 
     Coefficient d of F_k depends on coefficients d-1 of F_k .. F_{2k}, so
-    round d only needs the series with k <= 2^(order - d); higher-k
-    coefficients beyond that demand are never touched and stay zero.
+    level d only needs the series with k <= 2^(order - d); coefficients
+    beyond that demand are never touched and stay zero.
+
+    Coefficient d of F_k is a_k(d) = sum over x in P_d of |up x|^k, where
+    P_d is the upset of the d-ladder.  Levels d <= 4 are these moments,
+    summed over the exact upset-size distribution of P_d; each level above
+    is one round of the family's fixpoint, from the level below.
     """
     kmax = 1 << order
     coeffs: dict[int, list[int]] = {
-        k: [1] + [0] * order for k in range(1, 2 * kmax + 1)}
-    for d in range(1, order + 1):
+        k: [0] * (order + 1) for k in range(1, kmax + 1)}
+    moment_levels = min(order, _MOMENT_LEVELS)
+    for d, dist in enumerate(_upset_size_distributions(moment_levels)):
         limit = 1 << (order - d)
-        for k in range(1, limit + 1):
+        for v, m in dist.items():
+            term = m
+            for k in range(1, limit + 1):
+                term *= v
+                coeffs[k][d] += term
+    for d in range(moment_levels + 1, order + 1):
+        for k in range(1, (1 << (order - d)) + 1):
             prev = coeffs[k][d - 1]
             total = prev * prev
-            if d == 1:
-                # every constant coefficient is 1: the binomial sum is 2^k
-                total += 1 << k
-            else:
-                binom = 1  # C(k, i), updated incrementally
-                for i in range(k + 1):
-                    total += binom * coeffs[k + i][d - 1]
-                    binom = binom * (k - i) // (i + 1)
+            binom = 1  # C(k, i), updated incrementally
+            for i in range(k + 1):
+                total += binom * coeffs[k + i][d - 1]
+                binom = binom * (k - i) // (i + 1)
             coeffs[k][d] = total
-    return {k: TruncSeries(tuple(v)) for k, v in coeffs.items() if k <= kmax}
+    return {k: TruncSeries(tuple(v)) for k, v in coeffs.items()}
 
 
 def solve_equation(name: str, order: int):

@@ -172,6 +172,26 @@ class TestCrosscheckCompare:
         assert "mismatch at index 2" in out
 
 
+class TestRunawayCounts:
+    def test_enumerate_refuses_doubly_exponential_count(self, capsys):
+        for method in ("recurrence", "series"):
+            code, out, err = run(capsys, "enumerate", "sizes", "--count",
+                                 "40", "--method", method)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: sizes with count 40")
+            assert err.count("\n") == 1
+
+    def test_compare_refuses_long_bfile(self, capsys, tmp_path):
+        # the b-file's length sets the count (default --count 64)
+        path = tmp_path / "b.txt"
+        path.write_text("".join(f"{n} {n}\n" for n in range(64)))
+        code, out, err = run(capsys, "compare", str(path), "sizes")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sizes with count 64")
+
+
 class TestExportGraph:
     def test_incomplete_rejected(self):
         g = explore_component(SYS_M, parse_term("M(M(M(MM)))", {"M"}),

@@ -20,6 +20,7 @@ from mockingbird.oracle import (
 )
 from mockingbird.posets import poset_analysis
 from mockingbird.sequences import interval_family
+from mockingbird.series import solve_interval_family
 
 F = parse_forest
 
@@ -94,6 +95,18 @@ class TestNs:
     def test_sum_equals_interval_family_on_ladders(self):
         for d in range(5):
             assert sum(oracle_ns(ladder(d)).values()) == interval_family(1, d)
+
+
+class TestUpsetSizeMoments:
+    def test_moments_match_interval_series(self):
+        # coefficient d of F_k is reliable for k <= 2^(6 - d)
+        family = solve_interval_family(6)
+        for d in range(5):
+            g = forest_upset(ladder(d))
+            poset_analysis(g, check_lattice=False)
+            sizes = [r.bit_count() for r in g.reach]
+            for k in range(1, 5):
+                assert sum(v ** k for v in sizes) == family[k][d], (d, k)
 
 
 class TestMdK:

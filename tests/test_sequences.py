@@ -1,5 +1,6 @@
 import pytest
 
+from mockingbird import sequences
 from mockingbird.sequences import (
     GOLDEN_PREFIXES,
     SEQUENCE_NAMES,
@@ -55,6 +56,46 @@ class TestSeriesAgreement:
             rec = seq_by_recurrence(name, 13).values
             ser = seq_by_series(name, 13).values
             assert rec == ser, name
+
+
+class TestLadderCount:
+    def test_recurrence_skips_the_dropped_level(self):
+        # conventional count n needs ladder depths 0..n-2 only
+        for n in (2, 5, 9):
+            clear_interval_memo()
+            seq_by_recurrence("intervals", n)
+            assert max(d for _, d in interval_memo_keys()) == n - 2
+        clear_interval_memo()
+
+    def test_short_counts(self):
+        for name in SEQUENCE_NAMES:
+            for indexing in ("mockingbird", "ladder"):
+                for count in (1, 2, 3):
+                    rec = seq_by_recurrence(name, count, indexing=indexing)
+                    ser = seq_by_series(name, count, indexing=indexing)
+                    assert rec.values == ser.values, (name, indexing, count)
+                    assert len(rec.values) == count, (name, indexing, count)
+
+    def test_unknown_indexing(self):
+        for method in (seq_by_recurrence, seq_by_series):
+            with pytest.raises(SequenceError):
+                method("sizes", 3, indexing="oeis")
+
+
+class TestRunawayCounts:
+    def test_refused_before_computing(self):
+        for method in (seq_by_recurrence, seq_by_series):
+            for name, count in (("sizes", 40), ("edges", 64),
+                                ("classes", 30), ("intervals", 16)):
+                with pytest.raises(SequenceError, match="bits"):
+                    method(name, count)
+
+    def test_admits_the_counts_in_use(self):
+        # tests, `crosscheck --max-d 13` and the benchmark
+        for name, count in (("sizes", 22), ("edges", 20), ("classes", 20),
+                            ("intervals", 14), ("motzkin", 150),
+                            ("min", 150)):
+            sequences._ladder_count(name, count, "mockingbird")
 
 
 class TestIntervalFamily:

@@ -147,6 +147,17 @@ class TestResiduals:
         rhs = f.shift() + g.shift() + hadamard(f, g).scale(2).shift()
         assert rhs == f
 
+    def test_interval_family_matches_recurrence(self):
+        from mockingbird.sequences import interval_family
+
+        order = 8
+        family = solve_interval_family(order)
+        assert sorted(family) == list(range(1, (1 << order) + 1))
+        for k, series in family.items():
+            for d, c in enumerate(series.coefficients):
+                demanded = d == 0 or k <= 1 << (order - d)
+                assert c == (interval_family(k, d) if demanded else 0), (k, d)
+
     def test_interval_family_residual(self):
         from math import comb
 
