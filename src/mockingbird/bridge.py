@@ -8,26 +8,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .forests import (
-    BLACK,
-    DupForest,
-    EMPTY,
-    WHITE,
-    key_successors,
-)
+from .forests import BLACK, WHITE, DupForest, key_successors, parse_forest
 from .posets import DEFAULT_BUDGET, ExplorationError
-from .terms import (
-    Application,
-    Basic,
-    Term,
-    TermError,
-    Variable,
-    app,
-    basic,
-    render_term,
-    replace_at,
-    subterm_at,
-)
+from .terms import Application, Basic, Term, TermError, app, basic, render_term
 
 _M = basic("M")
 
@@ -37,27 +20,11 @@ def fr_map(t: Term) -> DupForest:
     leaves).  Leaves and MM map to the empty forest; M applied to a leaf is
     a lone white node; M applied to an application wraps a white node around
     the argument's forest; a left application concatenates; a variable head
-    is transparent.  The image is always white-only."""
-    if isinstance(t, Variable):
-        return EMPTY
-    if isinstance(t, Basic):
-        if t.name != "M":
-            raise TermError(f"foreign combinator {t.name} (alphabet is {{M}})")
-        return EMPTY
-    left, right = t.left, t.right
-    if isinstance(left, Application):
-        return fr_map(left) + fr_map(right)
-    if isinstance(left, Variable):
-        return fr_map(right)
-    if left.name != "M":
-        raise TermError(f"foreign combinator {left.name} (alphabet is {{M}})")
-    if isinstance(right, Application):
-        return ((WHITE, fr_map(right)),)
-    if isinstance(right, Basic) and right.name != "M":
-        raise TermError(f"foreign combinator {right.name} (alphabet is {{M}})")
-    if isinstance(right, Variable):
-        return ((WHITE, EMPTY),)
-    return EMPTY  # M M
+    is transparent.  The image is always white-only.
+
+    Computed without recursion over the term, as the compact key fr_key
+    reads off its prefix key; encode_term rejects a foreign combinator."""
+    return parse_forest(fr_key(encode_term(t)[0]))
 
 
 def right_comb(d: int) -> Term:
@@ -83,46 +50,6 @@ class IsoReport:
     @property
     def isomorphic(self) -> bool:
         return self.verdict == "isomorphic"
-
-
-def progressing_redexes(t: Term) -> list[tuple[int, ...]]:
-    """Paths of the subterms M s with s != M, listed in the order in which
-    the forest translation creates white nodes.
-
-    Firing one of these is exactly the non-loop part of the step relation
-    (M M only rewrites to itself), and distinct paths always give distinct
-    results.  The order matches the pre-order of the white nodes of the
-    forest translation.
-    """
-    out: list[tuple[int, ...]] = []
-
-    def scan(u: Term, path: tuple[int, ...]) -> None:
-        if not isinstance(u, Application):
-            return
-        left, right = u.left, u.right
-        if isinstance(left, Application):
-            scan(left, path + (0,))
-            scan(right, path + (1,))
-            return
-        if isinstance(left, Variable):
-            scan(right, path + (1,))
-            return
-        # left is the combinator M
-        if isinstance(right, Variable):
-            out.append(path)
-        elif isinstance(right, Application):
-            out.append(path)
-            scan(right, path + (1,))
-        # right = M: the redex M M only loops and creates no white node
-
-    scan(t, ())
-    return out
-
-
-def fire_redex(t: Term, path: tuple[int, ...]) -> Term:
-    """Rewrite the redex M s at the path into s s."""
-    s = subterm_at(t, path).right
-    return replace_at(t, path, app(s, s))
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +122,11 @@ def fr_key(key: str) -> str:
 
 
 def key_redex_successors(key: str) -> list[str]:
-    """Prefix keys of the terms one progressing redex away, in the order of
-    progressing_redexes: every ".M<s>" with s != M becomes ".<s><s>"."""
+    """Prefix keys of the terms one progressing redex away: every ".M<s>"
+    with s != M becomes ".<s><s>" (M M only rewrites to itself).  They are
+    listed by the position of the redex, which is the pre-order of the white
+    nodes that fr_key makes for them, and distinct redexes give distinct
+    terms."""
     out = []
     i = key.find(".M")
     while i >= 0:

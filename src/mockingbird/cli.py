@@ -281,6 +281,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (TermError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # term parsing, printing and rewriting recurse over the term depth
+        print("error: term nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

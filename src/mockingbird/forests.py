@@ -2,13 +2,12 @@
 step, upset exploration, and the recursive meet/join lattice operations.
 
 A forest is a tuple of trees; a tree is a pair ``(color, children)`` with
-color ``"w"`` or ``"b"`` and children again a forest.  Plain nested tuples
-keep forests hashable and cheap to deduplicate during exploration.
+color ``"w"`` or ``"b"`` and children again a forest.  Nested tuples are the
+public type, recursed over by meet and join; the duplication step runs on
+compact keys (the space-free rendering) by string surgery.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from .posets import DEFAULT_BUDGET, ExploredPoset, explore
 
@@ -29,12 +28,6 @@ class IncompatibleForests(ForestError):
     """meet/join called on forests that share no common upset."""
 
 
-def tree(color: str, children: DupForest = EMPTY) -> DupTree:
-    if color not in (WHITE, BLACK):
-        raise ForestError(f"invalid color {color!r}")
-    return (color, children)
-
-
 # ---------------------------------------------------------------------------
 # Parsing and printing
 #
@@ -44,35 +37,38 @@ def tree(color: str, children: DupForest = EMPTY) -> DupTree:
 
 
 def parse_forest(text: str) -> DupForest:
-    pos = 0
-    n = len(text)
+    """The forest of a rendering or compact key; ForestError if malformed."""
+    return _parse(text, {})
 
-    def parse_trees() -> DupForest:
-        nonlocal pos
-        trees: list[DupTree] = []
-        while True:
-            while pos < n and text[pos].isspace():
-                pos += 1
-            if pos >= n or text[pos] == ")":
-                return tuple(trees)
-            c = text[pos]
-            if c not in (WHITE, BLACK):
-                raise ForestError(f"expected 'w' or 'b' at position {pos}, got {c!r}")
-            pos += 1
-            children: DupForest = EMPTY
-            if pos < n and text[pos] == "(":
-                open_pos = pos
-                pos += 1
-                children = parse_trees()
-                if pos >= n or text[pos] != ")":
-                    raise ForestError(f"unbalanced parenthesis at position {open_pos}")
-                pos += 1
-            trees.append((c, children))
 
-    forest = parse_trees()
-    if pos != n:
-        raise ForestError(f"trailing input at position {pos}")
-    return forest
+def _parse(text: str, trees: dict[str, DupTree]) -> DupForest:
+    """The forest of ``text``, read in one pass without recursion.  ``trees``
+    maps the text of each tree built so far to that tree and gains the new
+    ones, so one table kept across calls shares their equal subtrees."""
+    siblings: list[DupTree] = []  # trees read so far at the current depth
+    open_trees: list[tuple[int, list[DupTree]]] = []  # (start, siblings)
+    for pos, c in enumerate(text):
+        if c == "(":
+            if not pos or text[pos - 1] not in (WHITE, BLACK):
+                raise ForestError(f"expected 'w' or 'b' at position {pos}, got '('")
+            open_trees.append((pos - 1, siblings))
+            siblings = []
+        elif c == ")":
+            if not open_trees:
+                raise ForestError(f"trailing input at position {pos}")
+            start, parent = open_trees.pop()
+            parent.append(trees.setdefault(text[start:pos + 1],
+                                           (text[start], tuple(siblings))))
+            siblings = parent
+        elif c == WHITE or c == BLACK:
+            if text[pos + 1:pos + 2] != "(":
+                siblings.append(trees.setdefault(c, (c, EMPTY)))
+        elif not c.isspace():
+            raise ForestError(f"expected 'w' or 'b' at position {pos}, got {c!r}")
+    if open_trees:
+        raise ForestError(
+            f"unbalanced parenthesis at position {open_trees[-1][0] + 1}")
+    return tuple(siblings)
 
 
 def render_forest(f: DupForest) -> str:
@@ -88,14 +84,7 @@ def render_forest(f: DupForest) -> str:
 
 def compact_key(f: DupForest) -> str:
     """Space-free rendering; still unambiguous, used as a sort/dedup key."""
-    out = []
-    for color, children in f:
-        out.append(color)
-        if children:
-            out.append("(")
-            out.append(compact_key(children))
-            out.append(")")
-    return "".join(out)
+    return render_forest(f).replace(" ", "")
 
 
 # ---------------------------------------------------------------------------
@@ -137,29 +126,10 @@ def is_white_only(f: DupForest) -> bool:
 # The duplication step
 
 
-def _tree_successors(t: DupTree) -> Iterator[DupTree]:
-    color, children = t
-    if color == WHITE:
-        yield (BLACK, children + children)
-    for g in _forest_successors(children):
-        yield (color, g)
-
-
-def _forest_successors(f: DupForest) -> Iterator[DupForest]:
-    for i, t in enumerate(f):
-        for t2 in _tree_successors(t):
-            yield f[:i] + (t2,) + f[i + 1:]
-
-
-def forest_step_successors(f: DupForest) -> set[DupForest]:
-    """One result per white node: recolor it black and duplicate its child
-    forest in place (g becomes g followed by a copy of g)."""
-    return set(_forest_successors(f))
-
-
 def key_successors(s: str) -> list[str]:
     """Duplication successors of a compact forest key by string surgery,
-    ordered by the pre-order position of the blackened white node.
+    ordered by the pre-order position of the blackened white node: the node
+    turns black and its child forest g becomes g followed by a copy of g.
 
     Distinct white positions always yield distinct results, so the list is
     duplicate-free and its length is the number of white nodes.
@@ -186,9 +156,13 @@ def key_successors(s: str) -> list[str]:
 
 def forest_upset(f: DupForest, budget: int = DEFAULT_BUDGET) -> ExploredPoset:
     """BFS closure of the duplication step from f; always finite because the
-    black count strictly increases along every step."""
-    return explore(f, forest_step_successors, budget=budget,
-                   sort_key=compact_key)
+    black count strictly increases along every step.  The walk runs on
+    compact keys; each node is parsed back once, through a table of equal
+    subtrees local to this call, so the nodes share structure."""
+    g = explore(compact_key(f), key_successors, budget=budget, sort_key=str)
+    trees: dict[str, DupTree] = {}
+    g.nodes = [_parse(key, trees) for key in g.nodes]
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +191,6 @@ def _tree_meet(t1: DupTree, t2: DupTree) -> DupTree:
     if c1 == c2:
         return (c1, meet(g1, g2))
     if c1 == BLACK:
-        t1, t2 = t2, t1
         g1, g2 = g2, g1
     # white over g1 meets black over g2 = g' followed by g''
     left, right = _split_half(g2)
@@ -238,7 +211,6 @@ def _tree_join(t1: DupTree, t2: DupTree) -> DupTree:
     if c1 == c2:
         return (c1, join(g1, g2))
     if c1 == BLACK:
-        t1, t2 = t2, t1
         g1, g2 = g2, g1
     left, right = _split_half(g2)
     return (BLACK, join(g1, left) + join(g1, right))

@@ -228,9 +228,18 @@ def seq_by_recurrence(name: str, count: int,
                   "recurrence")
 
 
+# Largest count of motzkin or min that seq_by_series computes: their
+# fixpoints multiply whole truncated series every round, O(count^3).
+MAX_SERIES_CENSUS_COUNT = 512
+
+
 def seq_by_series(name: str, count: int,
                   indexing: str = "mockingbird") -> SequenceTable:
     ladder_count = _ladder_count(name, count, indexing)
+    if name in ("motzkin", "min") and count > MAX_SERIES_CENSUS_COUNT:
+        raise SequenceError(
+            f"{name} by series is limited to count {MAX_SERIES_CENSUS_COUNT}, "
+            f"since its fixpoint is cubic in the count; use --method recurrence")
     values: list[int] = []
     if ladder_count:
         solution = serieslib.solve_equation(name, ladder_count - 1)

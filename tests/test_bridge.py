@@ -8,11 +8,9 @@ from mockingbird.bridge import (
     decode_term,
     encode_term,
     erase_black,
-    fire_redex,
     fr_key,
     fr_map,
     key_redex_successors,
-    progressing_redexes,
     right_comb,
     verify_fr_isomorphism,
 )
@@ -28,6 +26,7 @@ from mockingbird.oracle import all_combinators
 from mockingbird.posets import ExplorationError
 from mockingbird.rewrite import explore_component, load_system, step_successors
 from mockingbird.terms import TermError, parse_term
+from tests_util import fire_redex, fr_map_recursive, progressing_redexes
 
 SYS_M = load_system("builtin:M")
 
@@ -58,6 +57,20 @@ class TestFrMap:
     def test_foreign_combinator(self):
         with pytest.raises(TermError):
             fr_map(parse_term("K", {"K"}))
+
+    def test_deep_terms_without_recursion(self):
+        # fr_map reads the term through its prefix key and parses the key
+        # in one pass, so depth does not matter
+        t = TM("M")
+        for _ in range(5000):
+            t = terms.app(t, TM("M"))
+        assert fr_map(t) == ()
+        f, depth = fr_map(right_comb(3000)), 0
+        while f:
+            ((color, f),) = f
+            assert color == "w"
+            depth += 1
+        assert depth == 2999
 
     def test_image_white_only_10k_random(self):
         from tests_util import random_m_term
@@ -139,7 +152,8 @@ class TestStringKeys:
             fired = [decode_term(k, leaves) for k in key_redex_successors(key)]
             assert fired == [fire_redex(t, p) for p in progressing_redexes(t)]
             assert set(fired) == step_successors(SYS_M, t) - {t}
-            assert fr_key(key) == compact_key(fr_map(t))
+            assert fr_key(key) == compact_key(fr_map_recursive(t))
+            assert fr_map(t) == fr_map_recursive(t)
 
     def test_erase_black(self):
         assert erase_black("") == ""

@@ -182,6 +182,16 @@ class TestRunawayCounts:
             assert err.startswith("error: sizes with count 40")
             assert err.count("\n") == 1
 
+    def test_enumerate_refuses_long_census_by_series(self, capsys):
+        for name in ("motzkin", "min"):
+            code, out, err = run(capsys, "enumerate", name, "--count", "600",
+                                 "--method", "series")
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {name} by series is limited")
+            assert "--method recurrence" in err
+            assert err.count("\n") == 1
+
     def test_compare_refuses_long_bfile(self, capsys, tmp_path):
         # the b-file's length sets the count (default --count 64)
         path = tmp_path / "b.txt"
@@ -190,6 +200,23 @@ class TestRunawayCounts:
         assert code == 2
         assert out == ""
         assert err.startswith("error: sizes with count 64")
+
+
+class TestDeepTerms:
+    # parsing or printing these exceeds the interpreter's recursion limit
+    LEFT_SPINE = "M" * 5000
+    NESTED = "M(" * 3000 + "M" + ")" * 3000
+
+    @pytest.mark.parametrize("argv", [
+        ("check", LEFT_SPINE),
+        ("fr", NESTED),
+        ("graph", NESTED),
+    ], ids=["check", "fr", "graph"])
+    def test_exit_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: term nested too deeply\n"
 
 
 class TestExportGraph:

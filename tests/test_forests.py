@@ -3,6 +3,7 @@ import zlib
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mockingbird.forests import (
     BLACK,
@@ -13,7 +14,6 @@ from mockingbird.forests import (
     black_count,
     compact_key,
     forest_height,
-    forest_step_successors,
     forest_upset,
     is_white_only,
     join,
@@ -25,7 +25,15 @@ from mockingbird.forests import (
     render_forest,
     white_count,
 )
-from mockingbird.posets import brute_glb, brute_lub, down_sets, poset_analysis
+from mockingbird.posets import (
+    DEFAULT_BUDGET,
+    brute_glb,
+    brute_lub,
+    down_sets,
+    explore,
+    poset_analysis,
+)
+from tests_util import forest_step_successors
 
 F = parse_forest
 
@@ -60,6 +68,39 @@ class TestParseRender:
             F("w(w")
         with pytest.raises(ForestError):
             F("w)")
+
+
+forests = st.recursive(
+    st.just(EMPTY),
+    lambda children: st.lists(
+        st.tuples(st.sampled_from((WHITE, BLACK)), children), max_size=4,
+    ).map(tuple),
+    max_leaves=30)
+
+
+class TestForestText:
+    @given(forests)
+    def test_round_trips(self, f):
+        assert F(compact_key(f)) == f
+        assert F(render_forest(f)) == f
+        # forest_upset's node 0 is its start, parsed back from the key
+        assert forest_upset(f, budget=1).nodes == [f]
+
+    def test_deep_text_parses_without_recursion(self):
+        f = F("b(" * 5000 + "w" + ")" * 5000)
+        for _ in range(5000):
+            ((color, f),) = f
+            assert color == BLACK
+        assert f == F("w")
+
+    @given(st.one_of(st.text(alphabet="wb() x", max_size=40),
+                     st.text(max_size=40)))
+    def test_malformed_text_raises_forest_error(self, text):
+        try:
+            f = F(text)
+        except ForestError:
+            return
+        assert F(render_forest(f)) == f
 
 
 class TestLadderAndMetrics:
@@ -126,7 +167,36 @@ class TestStep:
             assert len(key_successors(compact_key(f))) == white_count(f)
 
 
+def assert_same_walk(f, budget):
+    """forest_upset agrees with explore over the tuple step."""
+    g = forest_upset(f, budget=budget)
+    ref = explore(f, forest_step_successors, budget=budget,
+                  sort_key=compact_key)
+    assert g.nodes == ref.nodes
+    assert g.step_edges == ref.step_edges
+    assert g.is_complete == ref.is_complete
+
+
 class TestUpset:
+    @pytest.mark.parametrize("budget", [1, 2, 5, DEFAULT_BUDGET])
+    def test_ladders_match_reference_step(self, budget):
+        for d in range(5):
+            assert_same_walk(ladder(d), budget)
+
+    def test_random_forests_match_reference_step(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            assert_same_walk(random_forest(rng, 5),
+                             rng.choice((1, 2, 5, 50, 300)))
+
+    def test_nodes_share_equal_subtrees(self):
+        trees = {}
+        pending = list(forest_upset(ladder(3)).nodes)
+        while pending:
+            for t in pending.pop():
+                assert trees.setdefault(compact_key((t,)), t) is t
+                pending.append(t[1])
+
     def test_ladder_2(self):
         g = forest_upset(ladder(2))
         poset_analysis(g)

@@ -4,7 +4,6 @@ import pytest
 
 from mockingbird.forests import (
     compact_key,
-    forest_step_successors,
     forest_upset,
     ladder,
     parse_forest,

@@ -97,6 +97,17 @@ class TestRunawayCounts:
                             ("min", 150)):
             sequences._ladder_count(name, count, "mockingbird")
 
+    def test_series_census_refused_above_512(self):
+        for name in ("motzkin", "min"):
+            with pytest.raises(SequenceError, match="--method recurrence"):
+                seq_by_series(name, 600)
+
+    def test_census_admitted_by_recurrence_and_small_series(self):
+        for name in ("motzkin", "min"):
+            assert len(seq_by_recurrence(name, 600).values) == 600
+            assert seq_by_series(name, 150).values == \
+                seq_by_recurrence(name, 150).values
+
 
 class TestIntervalFamily:
     def test_base_cases(self):
