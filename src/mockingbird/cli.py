@@ -282,7 +282,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # term parsing, printing and rewriting recurse over the term depth
+        # the term step and the term printer recurse over the term depth;
+        # the parser, fr and the forest printer do not
         print("error: term nested too deeply", file=sys.stderr)
         return 2
 

@@ -4,10 +4,13 @@ step, upset exploration, and the recursive meet/join lattice operations.
 A forest is a tuple of trees; a tree is a pair ``(color, children)`` with
 color ``"w"`` or ``"b"`` and children again a forest.  Nested tuples are the
 public type, recursed over by meet and join; the duplication step runs on
-compact keys (the space-free rendering) by string surgery.
+compact keys (the space-free rendering) by string surgery.  Parsing,
+printing and the metrics run without recursion, on forests of any depth.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .posets import DEFAULT_BUDGET, ExploredPoset, explore
 
@@ -73,13 +76,23 @@ def _parse(text: str, trees: dict[str, DupTree]) -> DupForest:
 
 def render_forest(f: DupForest) -> str:
     """Human-readable rendering with spaces between sibling trees."""
-    parts = []
-    for color, children in f:
+    parts: list[str] = []
+    stack = [iter(f)]  # the unread siblings at each open depth
+    while stack:
+        tree = next(stack[-1], None)
+        if tree is None:
+            stack.pop()
+            if stack:
+                parts.append(")")
+            continue
+        if parts and parts[-1] != "(":
+            parts.append(" ")
+        color, children = tree
+        parts.append(color)
         if children:
-            parts.append(f"{color}({render_forest(children)})")
-        else:
-            parts.append(color)
-    return " ".join(parts)
+            parts.append("(")
+            stack.append(iter(children))
+    return "".join(parts)
 
 
 def compact_key(f: DupForest) -> str:
@@ -103,23 +116,26 @@ def ladder(d: int) -> DupForest:
 
 def forest_height(f: DupForest) -> int:
     """Number of nodes on a longest root-to-leaf chain; height(ladder(d)) = d."""
-    return max((1 + forest_height(children) for _, children in f), default=0)
+    # one more than the deepest parenthesis nesting; 0 for the empty forest
+    depths = accumulate((c == "(") - (c == ")") for c in compact_key(f))
+    return max(depths, default=-1) + 1
 
 
 def node_count(f: DupForest) -> int:
-    return sum(1 + node_count(children) for _, children in f)
+    key = compact_key(f)
+    return len(key) - 2 * key.count("(")
 
 
 def black_count(f: DupForest) -> int:
-    return sum((color == BLACK) + black_count(children) for color, children in f)
+    return compact_key(f).count(BLACK)
 
 
 def white_count(f: DupForest) -> int:
-    return sum((color == WHITE) + white_count(children) for color, children in f)
+    return compact_key(f).count(WHITE)
 
 
 def is_white_only(f: DupForest) -> bool:
-    return all(color == WHITE and is_white_only(children) for color, children in f)
+    return BLACK not in compact_key(f)
 
 
 # ---------------------------------------------------------------------------

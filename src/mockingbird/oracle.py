@@ -150,25 +150,20 @@ def oracle_md_k(f: DupForest, k: int,
 # ---------------------------------------------------------------------------
 # Extremal census over all combinators of a degree
 
-_M = basic("M")
-_TREES_BY_DEGREE: list[list[Term]] = [[_M]]
-
-
 def all_combinators(degree: int) -> list[Term]:
     """All binary application trees with the given number of applications
     over the single leaf M (Catalan many)."""
     if degree < 0:
         raise OracleError("degree must be >= 0")
-    while len(_TREES_BY_DEGREE) <= degree:
-        d = len(_TREES_BY_DEGREE)
-        level = [
+    levels: list[list[Term]] = [[basic("M")]]
+    for d in range(1, degree + 1):
+        levels.append([
             app(left, right)
             for i in range(d)
-            for left in _TREES_BY_DEGREE[i]
-            for right in _TREES_BY_DEGREE[d - 1 - i]
-        ]
-        _TREES_BY_DEGREE.append(level)
-    return list(_TREES_BY_DEGREE[degree])
+            for left in levels[i]
+            for right in levels[d - 1 - i]
+        ])
+    return levels[degree]
 
 
 def oracle_extremal_census(degree: int) -> dict[str, int]:

@@ -201,15 +201,9 @@ def is_hierarchical(sys: CLSystem) -> dict[str, bool]:
     result: dict[str, bool] = {}
     for name, rule in sys.rules.items():
         depths: dict[int, set[int]] = {}
-
-        def walk(u: Term, depth: int) -> None:
+        for path, u in subterms_preorder(rule.rhs):
             if isinstance(u, Variable):
-                depths.setdefault(u.index, set()).add(depth)
-            elif isinstance(u, Application):
-                walk(u.left, depth + 1)
-                walk(u.right, depth + 1)
-
-        walk(rule.rhs, 0)
+                depths.setdefault(u.index, set()).add(len(path))
         n = rule.order
         result[name] = all(
             depths.get(i) == {n + 1 - i} for i in range(1, n + 1))

@@ -8,6 +8,9 @@ every process whatever ``PYTHONHASHSEED`` is.
 Application nodes are hash-consed through the :func:`app` factory; equality
 is structural with an identity fast path, so interning is an optimization,
 never a correctness requirement.
+
+The parser reads any depth in one pass.  Printing and factor search
+recurse over the term, as iterative versions of both measured slower.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ class Application(Term):
         return other.left == self.left and other.right == self.right
 
 
-# Hash-consing caches. Cleared by clear_caches() after very large explorations.
+# Hash-consing caches, kept for the life of the process.
 _VAR_CACHE: dict[int, Variable] = {}
 _BASIC_CACHE: dict[str, Basic] = {}
 _APP_CACHE: dict[tuple[Term, Term], Application] = {}
@@ -124,13 +127,6 @@ def app(left: Term, right: Term) -> Application:
     return t
 
 
-def clear_caches() -> None:
-    """Drop the interning tables (frees memory after huge explorations)."""
-    _VAR_CACHE.clear()
-    _BASIC_CACHE.clear()
-    _APP_CACHE.clear()
-
-
 @dataclass(frozen=True)
 class TermMetrics:
     degree: int
@@ -156,71 +152,52 @@ def parse_term(text: str, alphabet: Sequence[str] | set[str] | frozenset[str]) -
     for name in names:
         if not name or not name[0].isupper():
             raise TermError(f"invalid combinator name in alphabet: {name!r}")
-    pos = 0
-    n = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_atom() -> Optional[Term]:
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            return None
+    levels: list[Optional[Term]] = [None]  # term read so far: whole text, each open "("
+    opens: list[int] = []  # positions of the open parentheses
+    pos, n = 0, len(text)
+    while pos < n:
         c = text[pos]
+        start = pos
+        pos += 1
         if c == "(":
-            open_pos = pos
-            pos += 1
-            inner = parse_seq()
-            skip_ws()
-            if pos >= n or text[pos] != ")":
-                raise TermParseError("unbalanced parenthesis", open_pos)
-            pos += 1
-            return inner
-        if c == "x":
-            start = pos
-            pos += 1
-            digits = ""
+            levels.append(None)
+            opens.append(start)
+            continue
+        if c == ")":
+            if levels[-1] is None:
+                raise TermParseError("expected a term", start)
+            if not opens:
+                raise TermParseError("trailing input", start)
+            opens.pop()
+            atom = levels.pop()
+        elif c.isupper():
+            for name in names:
+                if text.startswith(name, start):
+                    break
+            else:
+                raise TermParseError(f"unknown combinator starting with {c!r}", start)
+            pos = start + len(name)
+            atom = basic(name)
+        elif c == "x":
             while pos < n and text[pos].isdigit():
-                digits += text[pos]
                 pos += 1
-            if not digits:
+            if pos == start + 1:
                 raise TermParseError("expected digits after 'x'", start)
-            index = int(digits)
+            index = int(text[start + 1:pos])
             if index == 0:
                 raise TermParseError("variable index 0 is not allowed", start)
-            return var(index)
-        if c.isupper():
-            for name in names:
-                if text.startswith(name, pos):
-                    pos += len(name)
-                    return basic(name)
-            raise TermParseError(f"unknown combinator starting with {c!r}", pos)
-        if c == ")":
-            return None
-        raise TermParseError(f"unexpected character {c!r}", pos)
-
-    def parse_seq() -> Term:
-        nonlocal pos
-        first = parse_atom()
-        if first is None:
-            raise TermParseError("expected a term", pos)
-        result = first
-        while True:
-            mark = pos
-            nxt = parse_atom()
-            if nxt is None:
-                pos = mark
-                return result
-            result = app(result, nxt)
-
-    result = parse_seq()
-    skip_ws()
-    if pos != n:
-        raise TermParseError("trailing input", pos)
-    return result
+            atom = var(index)
+        elif c.isspace():
+            continue
+        else:
+            raise TermParseError(f"unexpected character {c!r}", start)
+        left = levels[-1]
+        levels[-1] = atom if left is None else app(left, atom)
+    if levels[-1] is None:
+        raise TermParseError("expected a term", n)
+    if opens:
+        raise TermParseError("unbalanced parenthesis", opens[-1])
+    return levels[0]
 
 
 def _leaf_str(t: Term) -> str:
@@ -277,24 +254,11 @@ def compose(t: Term, args: Sequence[Term]) -> Term:
 
 
 def variable_indices(t: Term) -> set[int]:
-    out: set[int] = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Variable):
-            out.add(u.index)
-        elif isinstance(u, Application):
-            stack.append(u.left)
-            stack.append(u.right)
-    return out
+    return {u.index for _, u in subterms_preorder(t) if isinstance(u, Variable)}
 
 
 def contains_basic(t: Term) -> bool:
-    if isinstance(t, Basic):
-        return True
-    if isinstance(t, Application):
-        return contains_basic(t.left) or contains_basic(t.right)
-    return False
+    return any(isinstance(u, Basic) for _, u in subterms_preorder(t))
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,6 @@ def test_criterion_5b_isomorphism_degree_6():
         rep = bridge.verify_fr_isomorphism(t)
         assert rep.isomorphic, (terms.render_term(t), rep.verdict)
         assert rep.term_count == rep.forest_count
-    # the heavy right-comb run leaves large interning tables behind
-    terms.clear_caches()
 
 
 def test_criterion_6_figure_checks():

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, strategies as st
 
+from mockingbird.bridge import fr_map, right_comb
 from mockingbird.forests import (
     BLACK,
     EMPTY,
@@ -92,6 +93,31 @@ class TestForestText:
             ((color, f),) = f
             assert color == BLACK
         assert f == F("w")
+
+    @given(forests)
+    def test_metrics_match_structural_recursion(self, f):
+        def nodes(g, color=None):
+            return sum((color in (None, c)) + nodes(h, color) for c, h in g)
+
+        def height(g):
+            return max((1 + height(h) for _, h in g), default=0)
+
+        assert node_count(f) == nodes(f)
+        assert black_count(f) == nodes(f, BLACK)
+        assert white_count(f) == nodes(f, WHITE)
+        assert is_white_only(f) == (nodes(f, BLACK) == 0)
+        assert forest_height(f) == height(f)
+
+    def test_deep_forest_without_recursion(self):
+        f = fr_map(right_comb(3000))  # the 2,999-node ladder
+        key = "w(" * 2998 + "w" + ")" * 2998
+        assert render_forest(f) == compact_key(f) == key
+        assert node_count(f) == white_count(f) == forest_height(f) == 2999
+        assert black_count(f) == 0
+        assert is_white_only(f)
+        g = forest_upset(f, budget=1)
+        assert [compact_key(h) for h in g.nodes] == [key]
+        assert not g.is_complete
 
     @given(st.one_of(st.text(alphabet="wb() x", max_size=40),
                      st.text(max_size=40)))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mockingbird.terms import (
     TermError,
@@ -19,6 +20,7 @@ from mockingbird.terms import (
     term_metrics,
     var,
 )
+from tests_util import parse_term_recursive
 
 M = basic("M")
 
@@ -73,6 +75,33 @@ class TestParse:
             T("M(MM")
         assert exc.value.position == 1
 
+    def test_deep_nesting_without_recursion(self):
+        t = T("M(" * 5000 + "M" + ")" * 5000)
+        for _ in range(5000):
+            assert t.left is M
+            t = t.right
+        assert t is M
+
+
+# pieces of text that reach every branch and every error of the parser
+FUZZ_PIECES = list("MKSI x0123()") + ["\t", "x1", "x12", "KS", "\u00e9"]
+FUZZ_ALPHABETS = [{"M"}, {"K", "S"}, {"I"}, {"KS", "K", "S"}, set()]
+
+
+def parse_outcome(parse, text, alphabet):
+    try:
+        return parse(text, alphabet)
+    except TermError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(FUZZ_PIECES), max_size=24).map("".join),
+       st.sampled_from(FUZZ_ALPHABETS))
+def test_parse_matches_recursive_reference(text, alphabet):
+    assert parse_outcome(parse_term, text, alphabet) == \
+        parse_outcome(parse_term_recursive, text, alphabet)
+
 
 class TestRender:
     def test_concise_left_spine(self):
@@ -106,6 +135,17 @@ class TestRoundTrip:
             t = random_term(rng, rng.randint(0, 6), alphabet)
             assert parse_term(render_term(t, "concise"), alphabet) == t
             assert parse_term(render_term(t, "full"), alphabet) == t
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.one_of(st.sampled_from(("M", "A", "BC", "Def")).map(basic),
+                  st.integers(1, 120).map(var)),
+        lambda sub: st.tuples(sub, sub).map(lambda lr: app(*lr)),
+        max_leaves=40))
+    def test_roundtrip_multi_digit_variables_and_long_names(self, t):
+        alphabet = ("M", "A", "BC", "Def")
+        assert parse_term(render_term(t, "concise"), alphabet) is t
+        assert parse_term(render_term(t, "full"), alphabet) is t
 
 
 class TestMetrics:

@@ -1,12 +1,14 @@
 """Shared helpers for the test suite, and reference implementations that
-the library's string-keyed code is compared against: the forest step on
-nested tuples, the term step by redex paths, and the recursive fr."""
+the library's code is compared against: the recursive term parser, the
+forest step on nested tuples, the term step by redex paths, and the
+recursive fr."""
 
 from mockingbird.forests import BLACK, EMPTY, WHITE
 from mockingbird.terms import (
     Application,
     Basic,
     TermError,
+    TermParseError,
     Variable,
     app,
     basic,
@@ -30,6 +32,84 @@ def random_m_term(rng, degree, variables=0):
     left_degree = rng.randint(0, degree - 1)
     return app(random_m_term(rng, left_degree, variables),
                random_m_term(rng, degree - 1 - left_degree, variables))
+
+
+# ---------------------------------------------------------------------------
+# The term parser by recursive descent
+
+
+def parse_term_recursive(text, alphabet):
+    """The term parser as a recursive descent over the grammar in
+    ``terms``: the reference for the one-pass ``parse_term``."""
+    names = sorted(alphabet, key=len, reverse=True)
+    for name in names:
+        if not name or not name[0].isupper():
+            raise TermError(f"invalid combinator name in alphabet: {name!r}")
+    pos = 0
+    n = len(text)
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+
+    def parse_atom():
+        nonlocal pos
+        skip_ws()
+        if pos >= n:
+            return None
+        c = text[pos]
+        if c == "(":
+            open_pos = pos
+            pos += 1
+            inner = parse_seq()
+            skip_ws()
+            if pos >= n or text[pos] != ")":
+                raise TermParseError("unbalanced parenthesis", open_pos)
+            pos += 1
+            return inner
+        if c == "x":
+            start = pos
+            pos += 1
+            digits = ""
+            while pos < n and text[pos].isdigit():
+                digits += text[pos]
+                pos += 1
+            if not digits:
+                raise TermParseError("expected digits after 'x'", start)
+            index = int(digits)
+            if index == 0:
+                raise TermParseError("variable index 0 is not allowed", start)
+            return var(index)
+        if c.isupper():
+            for name in names:
+                if text.startswith(name, pos):
+                    pos += len(name)
+                    return basic(name)
+            raise TermParseError(f"unknown combinator starting with {c!r}", pos)
+        if c == ")":
+            return None
+        raise TermParseError(f"unexpected character {c!r}", pos)
+
+    def parse_seq():
+        nonlocal pos
+        first = parse_atom()
+        if first is None:
+            raise TermParseError("expected a term", pos)
+        result = first
+        while True:
+            mark = pos
+            nxt = parse_atom()
+            if nxt is None:
+                pos = mark
+                return result
+            result = app(result, nxt)
+
+    result = parse_seq()
+    skip_ws()
+    if pos != n:
+        raise TermParseError("trailing input", pos)
+    return result
 
 
 # ---------------------------------------------------------------------------
