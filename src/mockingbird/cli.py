@@ -144,15 +144,8 @@ def _cmd_fr(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.method == "recurrence":
-        table = sequences.seq_by_recurrence(args.name, args.count,
-                                            indexing=args.indexing)
-    elif args.method == "series":
-        table = sequences.seq_by_series(args.name, args.count,
-                                        indexing=args.indexing)
-    else:
-        table = sequences.seq_by_oracle(args.name, args.count,
-                                        indexing=args.indexing)
+    table = sequences.METHODS[args.method](args.name, args.count,
+                                           indexing=args.indexing)
     if args.json:
         print(json.dumps(table.to_json_dict(), indent=2, sort_keys=True))
     else:
@@ -188,12 +181,8 @@ def _cmd_crosscheck(args) -> int:
 def _cmd_compare(args) -> int:
     bfile = sequences.load_bfile(args.bfile)
     count = min(len(bfile.values), args.count)
-    if args.method == "series":
-        table = sequences.seq_by_series(args.name, count,
-                                        indexing=args.indexing)
-    else:
-        table = sequences.seq_by_recurrence(args.name, count,
-                                            indexing=args.indexing)
+    table = sequences.METHODS[args.method](args.name, count,
+                                           indexing=args.indexing)
     report = sequences.compare(bfile, table)
     if report.ok:
         note = f" ({report.warning})" if report.warning else ""
@@ -240,7 +229,7 @@ def _build_parser(budget: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="print a counting sequence")
     p.add_argument("name", choices=sequences.SEQUENCE_NAMES)
-    p.add_argument("--method", choices=("recurrence", "series", "oracle"),
+    p.add_argument("--method", choices=tuple(sequences.METHODS),
                    default="recurrence")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--indexing", choices=("mockingbird", "ladder"),
@@ -263,8 +252,9 @@ def _build_parser(budget: int) -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="b-file vs computed sequence")
     p.add_argument("bfile")
     p.add_argument("name", choices=sequences.SEQUENCE_NAMES)
-    p.add_argument("--method", choices=("recurrence", "series"),
-                   default="recurrence")
+    # the oracle reaches only a few terms of any b-file
+    p.add_argument("--method", default="recurrence",
+                   choices=[m for m in sequences.METHODS if m != "oracle"])
     p.add_argument("--count", type=int, default=64)
     p.add_argument("--indexing", choices=("mockingbird", "ladder"),
                    default="mockingbird")
@@ -274,6 +264,10 @@ def _build_parser(budget: int) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # sequence values and b-file entries pass the interpreter's default
+    # limit of 4,300 digits per int-str conversion; lift it for this call
+    digits_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         parser = _build_parser(_default_budget())
         args = parser.parse_args(argv)
@@ -286,6 +280,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         # the parser, fr and the forest printer do not
         print("error: term nested too deeply", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digits_limit)
 
 
 if __name__ == "__main__":

@@ -37,8 +37,9 @@ class OracleCounts:
     cover_equals_step: Optional[bool]
 
 
-MAX_EXACT_D = 4       # full in-memory poset with transitive reduction
-MAX_STREAM_D = 5      # element/step-edge counting by streaming over keys
+MAX_EXACT_D = 4         # full in-memory poset with transitive reduction
+MAX_STREAM_D = 5        # element/step-edge counting by streaming over keys
+MAX_CENSUS_DEGREE = 10  # extremal census over all combinators of a degree
 
 
 def oracle_poset_counts(d: int, with_intervals: bool = True,
@@ -169,8 +170,8 @@ def all_combinators(degree: int) -> list[Term]:
 def oracle_extremal_census(degree: int) -> dict[str, int]:
     """Classify every combinator of the degree as maximal/minimal by
     pattern avoidance and return the totals."""
-    if degree > 10:
-        raise OracleError("census limited to degree <= 10")
+    if degree > MAX_CENSUS_DEGREE:
+        raise OracleError(f"census limited to degree <= {MAX_CENSUS_DEGREE}")
     total = maximal = minimal = 0
     for t in all_combinators(degree):
         total += 1

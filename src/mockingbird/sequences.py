@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import series as serieslib
-from .oracle import oracle_extremal_census, oracle_poset_counts
+from .oracle import (
+    MAX_CENSUS_DEGREE,
+    MAX_EXACT_D,
+    MAX_STREAM_D,
+    oracle_extremal_census,
+    oracle_poset_counts,
+)
 
 SEQUENCE_NAMES = ("sizes", "edges", "intervals", "motzkin", "min", "classes")
 
@@ -164,51 +170,49 @@ _LADDER_RECURRENCES = {
 }
 
 
-# Largest estimated size, in bits, of a recurrence or series request; see
-# _estimated_bits.  It admits intervals to conventional index 13 (ladder
-# depth 12) and sizes to index 25; each index past that at least doubles
-# the work.
-MAX_ESTIMATED_BITS = 1 << 25
+# Largest ladder count of each sequence that each method computes.  It is
+# keyed on the ladder count, so the conventional and the ladder indexing of
+# a sequence share one limit.  Measured on 2 CPUs (Python 3.11): at these
+# limits no recurrence or series request takes over 3 s, except motzkin
+# and min by recurrence, capped at the largest count measured under 10 s;
+# one index more at least doubles the work of sizes, edges, intervals and
+# classes.  The oracle limits are the oracle's own.
+LADDER_COUNT_LIMITS = {
+    "recurrence": {"sizes": 25, "edges": 25, "intervals": 13,
+                   "motzkin": 3200, "min": 3000, "classes": 25},
+    "series": {"sizes": 25, "edges": 25, "intervals": 15,
+               "motzkin": 512, "min": 512, "classes": 25},
+    "oracle": {"sizes": MAX_STREAM_D + 1, "edges": MAX_STREAM_D + 1,
+               "intervals": MAX_EXACT_D + 1,
+               "motzkin": MAX_CENSUS_DEGREE + 1,
+               "min": MAX_CENSUS_DEGREE + 1},
+}
 
 
-def _estimated_bits(name: str, ladder_count: int) -> int:
-    """Estimated bits held while computing the first ``ladder_count``
-    ladder-indexed values of ``name``.
-
-    The bit length of sizes, edges, intervals and classes at most doubles
-    per index from 2 bits at index 0; motzkin and min grow by less than 2
-    bits per index.  The interval family holds 2^top values of that size at
-    top index ``top``."""
-    if ladder_count == 0:
-        return 0
-    top = ladder_count - 1
-    if name in ("motzkin", "min"):
-        return 2 * ladder_count
-    bits = 2 << top
-    if name == "intervals":
-        bits <<= top
-    return bits
-
-
-def _ladder_count(name: str, count: int, indexing: str) -> int:
+def _ladder_count(name: str, count: int, indexing: str, method: str) -> int:
     """Number of ladder-indexed values behind ``count`` values in
     ``indexing``: the conventional indexing of a poset sequence prepends
-    the M(0) value, which costs nothing.  Refuses requests whose estimated
-    size exceeds MAX_ESTIMATED_BITS."""
+    the M(0) value, which costs nothing.  Refuses a request over the
+    method's LADDER_COUNT_LIMITS entry, naming any method that admits it."""
     if name not in _LADDER_RECURRENCES:
         raise SequenceError(f"unknown sequence {name!r}")
     if count < 1:
         raise SequenceError("count must be >= 1")
     if indexing not in ("ladder", "mockingbird"):
         raise SequenceError(f"unknown indexing {indexing!r}")
-    ladder_count = count
-    if indexing == "mockingbird" and name in _POSET_SEQUENCES:
-        ladder_count -= 1
-    bits = _estimated_bits(name, ladder_count)
-    if bits > MAX_ESTIMATED_BITS:
+    prepended = int(indexing == "mockingbird" and name in _POSET_SEQUENCES)
+    ladder_count = count - prepended
+    limit = LADDER_COUNT_LIMITS[method].get(name)
+    if limit is None:
+        raise SequenceError(f"no {method} for sequence {name!r}")
+    if ladder_count > limit:
+        admitting = [other for other, limits in LADDER_COUNT_LIMITS.items()
+                     if ladder_count <= limits.get(name, 0)]
+        hint = (f"; --method {' or '.join(admitting)} admits it"
+                if admitting else "")
         raise SequenceError(
-            f"{name} with count {count} needs about {bits:,} bits, over the "
-            f"limit of {MAX_ESTIMATED_BITS:,}")
+            f"{name} by {method} is limited to count {limit + prepended}, "
+            f"got {count}{hint}")
     return ladder_count
 
 
@@ -223,23 +227,14 @@ def _table(name: str, ladder_values: list[int], indexing: str,
 
 def seq_by_recurrence(name: str, count: int,
                       indexing: str = "mockingbird") -> SequenceTable:
-    ladder_count = _ladder_count(name, count, indexing)
+    ladder_count = _ladder_count(name, count, indexing, "recurrence")
     return _table(name, _LADDER_RECURRENCES[name](ladder_count), indexing,
                   "recurrence")
 
 
-# Largest count of motzkin or min that seq_by_series computes: their
-# fixpoints multiply whole truncated series every round, O(count^3).
-MAX_SERIES_CENSUS_COUNT = 512
-
-
 def seq_by_series(name: str, count: int,
                   indexing: str = "mockingbird") -> SequenceTable:
-    ladder_count = _ladder_count(name, count, indexing)
-    if name in ("motzkin", "min") and count > MAX_SERIES_CENSUS_COUNT:
-        raise SequenceError(
-            f"{name} by series is limited to count {MAX_SERIES_CENSUS_COUNT}, "
-            f"since its fixpoint is cubic in the count; use --method recurrence")
+    ladder_count = _ladder_count(name, count, indexing, "series")
     values: list[int] = []
     if ladder_count:
         solution = serieslib.solve_equation(name, ladder_count - 1)
@@ -253,7 +248,7 @@ def seq_by_oracle(name: str, count: int,
                   indexing: str = "mockingbird") -> SequenceTable:
     """Sequence values from explicit poset construction / census: slow and
     range-limited, the independent ground truth."""
-    ladder_count = _ladder_count(name, count, indexing)
+    ladder_count = _ladder_count(name, count, indexing, "oracle")
     ladder_values: list[int] = []
     if name in _POSET_SEQUENCES:
         for d in range(ladder_count):
@@ -264,13 +259,19 @@ def seq_by_oracle(name: str, count: int,
                 "edges": counts.hasse_edges,
                 "intervals": counts.intervals,
             }[name])
-    elif name in ("motzkin", "min"):
+    else:
         key = "maximal" if name == "motzkin" else "minimal"
         for d in range(ladder_count):
             ladder_values.append(oracle_extremal_census(d)[key])
-    else:
-        raise SequenceError(f"no oracle for sequence {name!r}")
     return _table(name, ladder_values, indexing, "oracle")
+
+
+# The sequence methods by name, for callers that choose one at run time.
+METHODS = {
+    "recurrence": seq_by_recurrence,
+    "series": seq_by_series,
+    "oracle": seq_by_oracle,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ def parse_term(text: str, alphabet: Sequence[str] | set[str] | frozenset[str]) -
             pos = start + len(name)
             atom = basic(name)
         elif c == "x":
-            while pos < n and text[pos].isdigit():
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
             if pos == start + 1:
                 raise TermParseError("expected digits after 'x'", start)

@@ -11,6 +11,7 @@ from mockingbird.cli import export_graph, main
 from mockingbird.posets import IncompleteExplorationError, poset_analysis
 from mockingbird.rewrite import explore_component, load_system
 from mockingbird.terms import parse_term, render_term
+from tests_util import forbid_sequence_solvers
 
 SYS_M = load_system("builtin:M")
 
@@ -179,8 +180,8 @@ class TestRunawayCounts:
                                  "40", "--method", method)
             assert code == 2
             assert out == ""
-            assert err.startswith("error: sizes with count 40")
-            assert err.count("\n") == 1
+            assert err == (f"error: sizes by {method} is limited to count "
+                           "26, got 40\n")
 
     def test_enumerate_refuses_long_census_by_series(self, capsys):
         for name in ("motzkin", "min"):
@@ -199,7 +200,39 @@ class TestRunawayCounts:
         code, out, err = run(capsys, "compare", str(path), "sizes")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: sizes with count 64")
+        assert err == \
+            "error: sizes by recurrence is limited to count 26, got 64\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("motzkin", "--count", "100000"),
+         "motzkin by recurrence is limited to count 3200, got 100000"),
+        (("sizes", "--method", "oracle", "--count", "8"),
+         "sizes by oracle is limited to count 7, got 8; "
+         "--method recurrence or series admits it"),
+    ], ids=["motzkin-recurrence", "sizes-oracle"])
+    def test_enumerate_refused_before_any_solver(self, capsys, monkeypatch,
+                                                 argv, message):
+        forbid_sequence_solvers(monkeypatch)
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_enumerate_intervals_16_by_series(self, capsys):
+        # its last values pass the interpreter's 4,300-digit limit on
+        # int-to-str conversion, which the CLI lifts for the call only
+        digits_limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "enumerate", "intervals", "--count",
+                             "16", "--method", "series")
+        assert code == 0
+        assert err == ""
+        values = out.strip()[1:-1].split(",")
+        assert len(values) == 16
+        assert max(len(v) for v in values) > 4300
+        _, recurrence, _ = run(capsys, "enumerate", "intervals", "--count",
+                               "14")
+        assert values[:14] == recurrence.strip()[1:-1].split(",")
+        assert sys.get_int_max_str_digits() == digits_limit
 
 
 class TestDeepTerms:

@@ -1,8 +1,10 @@
 import pytest
 
-from mockingbird import sequences
+from mockingbird import oracle, sequences
 from mockingbird.sequences import (
     GOLDEN_PREFIXES,
+    LADDER_COUNT_LIMITS,
+    METHODS,
     SEQUENCE_NAMES,
     SequenceError,
     clear_interval_memo,
@@ -15,6 +17,7 @@ from mockingbird.sequences import (
     seq_by_recurrence,
     seq_by_series,
 )
+from tests_util import forbid_sequence_solvers
 
 
 class TestRecurrence:
@@ -84,10 +87,12 @@ class TestLadderCount:
 
 class TestRunawayCounts:
     def test_refused_before_computing(self):
-        for method in (seq_by_recurrence, seq_by_series):
+        for method, intervals in ((seq_by_recurrence, 16),
+                                  (seq_by_series, 17)):
             for name, count in (("sizes", 40), ("edges", 64),
-                                ("classes", 30), ("intervals", 16)):
-                with pytest.raises(SequenceError, match="bits"):
+                                ("classes", 30), ("intervals", intervals)):
+                with pytest.raises(SequenceError,
+                                   match=f"^{name} by .* is limited to count"):
                     method(name, count)
 
     def test_admits_the_counts_in_use(self):
@@ -95,7 +100,8 @@ class TestRunawayCounts:
         for name, count in (("sizes", 22), ("edges", 20), ("classes", 20),
                             ("intervals", 14), ("motzkin", 150),
                             ("min", 150)):
-            sequences._ladder_count(name, count, "mockingbird")
+            for method in ("recurrence", "series"):
+                sequences._ladder_count(name, count, "mockingbird", method)
 
     def test_series_census_refused_above_512(self):
         for name in ("motzkin", "min"):
@@ -107,6 +113,68 @@ class TestRunawayCounts:
             assert len(seq_by_recurrence(name, 600).values) == 600
             assert seq_by_series(name, 150).values == \
                 seq_by_recurrence(name, 150).values
+
+
+class TestAdmissionRule:
+    def test_one_past_each_limit_refused_before_any_solver(self, monkeypatch):
+        forbid_sequence_solvers(monkeypatch)
+        for method, limits in LADDER_COUNT_LIMITS.items():
+            for name, limit in limits.items():
+                for indexing in ("mockingbird", "ladder"):
+                    prepended = (indexing == "mockingbird"
+                                 and name in ("sizes", "edges", "intervals"))
+                    top = limit + int(prepended)
+                    assert sequences._ladder_count(
+                        name, top, indexing, method) == limit
+                    with pytest.raises(
+                            SequenceError,
+                            match=f"^{name} by {method} is limited to count "
+                                  f"{top}, got {top + 1}"):
+                        METHODS[method](name, top + 1, indexing=indexing)
+
+    def test_classes_has_no_oracle(self, monkeypatch):
+        forbid_sequence_solvers(monkeypatch)
+        assert "classes" not in LADDER_COUNT_LIMITS["oracle"]
+        with pytest.raises(SequenceError,
+                           match="^no oracle for sequence 'classes'$"):
+            seq_by_oracle("classes", 1)
+
+    def test_refusal_names_the_methods_that_admit_the_count(self, monkeypatch):
+        forbid_sequence_solvers(monkeypatch)
+        for method, name, count, message in (
+            (seq_by_recurrence, "intervals", 15,
+             "intervals by recurrence is limited to count 14, got 15; "
+             "--method series admits it"),
+            (seq_by_oracle, "sizes", 8,
+             "sizes by oracle is limited to count 7, got 8; "
+             "--method recurrence or series admits it"),
+            (seq_by_series, "min", 600,
+             "min by series is limited to count 512, got 600; "
+             "--method recurrence admits it"),
+            (seq_by_recurrence, "motzkin", 100_000,
+             "motzkin by recurrence is limited to count 3200, got 100000"),
+            (seq_by_series, "sizes", 40,
+             "sizes by series is limited to count 26, got 40"),
+        ):
+            with pytest.raises(SequenceError) as exc:
+                method(name, count)
+            assert str(exc.value) == message
+
+    def test_oracle_limits_are_the_oracle_constants(self):
+        assert LADDER_COUNT_LIMITS["oracle"] == {
+            "sizes": oracle.MAX_STREAM_D + 1,
+            "edges": oracle.MAX_STREAM_D + 1,
+            "intervals": oracle.MAX_EXACT_D + 1,
+            "motzkin": oracle.MAX_CENSUS_DEGREE + 1,
+            "min": oracle.MAX_CENSUS_DEGREE + 1,
+        }
+
+    def test_methods_by_name(self):
+        assert METHODS == {"recurrence": seq_by_recurrence,
+                           "series": seq_by_series, "oracle": seq_by_oracle}
+        assert set(LADDER_COUNT_LIMITS) == set(METHODS)
+        for limits in LADDER_COUNT_LIMITS.values():
+            assert set(limits) <= set(SEQUENCE_NAMES)
 
 
 class TestIntervalFamily:

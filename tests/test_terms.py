@@ -70,6 +70,13 @@ class TestParse:
         with pytest.raises(TermParseError):
             T("")
 
+    @pytest.mark.parametrize("text", ["Mx\u00b2", "Mx\u0663", "Mx\uff11\uff12"],
+                             ids=["superscript", "arabic-indic", "fullwidth"])
+    def test_variable_digits_are_ascii(self, text):
+        with pytest.raises(TermParseError) as exc:
+            T(text)
+        assert str(exc.value) == "expected digits after 'x' (at position 1)"
+
     def test_error_position_reported(self):
         with pytest.raises(TermParseError) as exc:
             T("M(MM")
@@ -84,7 +91,8 @@ class TestParse:
 
 
 # pieces of text that reach every branch and every error of the parser
-FUZZ_PIECES = list("MKSI x0123()") + ["\t", "x1", "x12", "KS", "\u00e9"]
+FUZZ_PIECES = list("MKSI x0123()") + ["\t", "x1", "x12", "KS", "\u00e9",
+                                      "\u00b2", "\u0663"]
 FUZZ_ALPHABETS = [{"M"}, {"K", "S"}, {"I"}, {"KS", "K", "S"}, set()]
 
 

@@ -3,6 +3,7 @@ the library's code is compared against: the recursive term parser, the
 forest step on nested tuples, the term step by redex paths, and the
 recursive fr."""
 
+from mockingbird import sequences
 from mockingbird.forests import BLACK, EMPTY, WHITE
 from mockingbird.terms import (
     Application,
@@ -36,6 +37,19 @@ def random_m_term(rng, degree, variables=0):
 
 # ---------------------------------------------------------------------------
 # The term parser by recursive descent
+
+
+def forbid_sequence_solvers(monkeypatch):
+    """Make every solver behind the sequence methods fail if it is called:
+    the recurrences, the series fixpoint and both oracle entry points."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a sequence solver ran")
+
+    for name in sequences._LADDER_RECURRENCES:
+        monkeypatch.setitem(sequences._LADDER_RECURRENCES, name, fail)
+    monkeypatch.setattr(sequences.serieslib, "solve_equation", fail)
+    monkeypatch.setattr(sequences, "oracle_poset_counts", fail)
+    monkeypatch.setattr(sequences, "oracle_extremal_census", fail)
 
 
 def parse_term_recursive(text, alphabet):
@@ -72,7 +86,7 @@ def parse_term_recursive(text, alphabet):
             start = pos
             pos += 1
             digits = ""
-            while pos < n and text[pos].isdigit():
+            while pos < n and "0" <= text[pos] <= "9":
                 digits += text[pos]
                 pos += 1
             if not digits:
