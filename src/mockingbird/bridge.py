@@ -144,6 +144,29 @@ def key_redex_successors(key: str) -> list[str]:
     return out
 
 
+def key_extremal_flags(key: str) -> tuple[bool, bool]:
+    """Whether the term over {M} with this prefix key is maximal and
+    whether it is minimal in its component, by the factors it avoids.
+
+    A factor M(x1 x2) reads ".M." in the key.  A factor (x1 x2)(x1 x2) is
+    an application whose two sides are equal applications: one pass in
+    reverse records where the subterm at each position ends, which gives
+    both sides of every application, and compares them only when their
+    lengths match."""
+    maximal = ".M." not in key
+    end = [0] * len(key)
+    for i in range(len(key) - 1, -1, -1):
+        if key[i] != ".":
+            end[i] = i + 1
+            continue
+        j = end[i + 1]  # the left side is key[i + 1:j], the right key[j:e]
+        e = end[i] = end[j]
+        if key[i + 1] == "." and j - i - 1 == e - j and \
+                key[i + 1:j] == key[j:e]:
+            return maximal, False
+    return maximal, True
+
+
 def erase_black(key: str) -> str:
     """Compact forest key with every black node spliced out: its children
     take its place among its siblings, and a white node left without

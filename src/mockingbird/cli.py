@@ -24,19 +24,6 @@ from .posets import (
 from .terms import Term, TermError, parse_term, render_term
 
 
-def _default_budget() -> int:
-    raw = os.environ.get("MOCKINGBIRD_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise TermError(f"MOCKINGBIRD_BUDGET must be an integer, got {raw!r}")
-    if value < 1:
-        raise TermError("MOCKINGBIRD_BUDGET must be >= 1")
-    return value
-
-
 def export_graph(g: ExploredPoset, format: str = "json",
                  hasse_only: bool = False, label=None) -> str:
     """Serialize an explored poset as DOT or JSON; hasse_only drops
@@ -149,7 +136,7 @@ def _cmd_enumerate(args) -> int:
     if args.json:
         print(json.dumps(table.to_json_dict(), indent=2, sort_keys=True))
     else:
-        print("[" + ",".join(str(v) for v in table.values) + "]")
+        print("[" + ",".join(map(sequences.decimal_str, table.values)) + "]")
     return 0
 
 
@@ -188,13 +175,14 @@ def _cmd_compare(args) -> int:
         note = f" ({report.warning})" if report.warning else ""
         print(f"match over {report.overlap} terms{note}")
         return 0
-    print(f"mismatch at index {report.first_mismatch}: "
-          f"b-file {bfile.values[report.first_mismatch]} vs "
-          f"computed {table.values[report.first_mismatch]}")
+    i = report.first_mismatch
+    print(f"mismatch at index {i}: "
+          f"b-file {sequences.decimal_str(bfile.values[i])} vs "
+          f"computed {sequences.decimal_str(table.values[i])}")
     return 1
 
 
-def _build_parser(budget: int) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mockingbird",
         description="Combinatory-logic rewriting and lattice enumeration")
@@ -204,7 +192,7 @@ def _build_parser(budget: int) -> argparse.ArgumentParser:
         p.add_argument("term")
         p.add_argument("--system", default="builtin:M",
                        help="builtin:NAME or a system file path")
-        p.add_argument("--budget", type=int, default=budget)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("reduce", help="print a rewrite chain to a normal form")
     add_system_args(p)
@@ -264,13 +252,8 @@ def _build_parser(budget: int) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # sequence values and b-file entries pass the interpreter's default
-    # limit of 4,300 digits per int-str conversion; lift it for this call
-    digits_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        parser = _build_parser(_default_budget())
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (TermError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -280,8 +263,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         # the parser, fr and the forest printer do not
         print("error: term nested too deeply", file=sys.stderr)
         return 2
-    finally:
-        sys.set_int_max_str_digits(digits_limit)
 
 
 if __name__ == "__main__":

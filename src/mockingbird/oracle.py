@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
+from .bridge import decode_term, key_extremal_flags
 from .forests import (
     DupForest,
     compact_key,
@@ -20,8 +21,7 @@ from .forests import (
     meet,
 )
 from .posets import DEFAULT_BUDGET, ExploredPoset, down_sets, poset_analysis
-from .rewrite import extremal_by_pattern
-from .terms import Term, app, basic
+from .terms import Term, basic
 
 
 class OracleError(ValueError):
@@ -151,15 +151,16 @@ def oracle_md_k(f: DupForest, k: int,
 # ---------------------------------------------------------------------------
 # Extremal census over all combinators of a degree
 
-def all_combinators(degree: int) -> list[Term]:
-    """All binary application trees with the given number of applications
-    over the single leaf M (Catalan many)."""
+def combinator_keys(degree: int) -> list[str]:
+    """Prefix keys (bridge.encode_term) of all binary application trees
+    with the given number of applications over the single leaf M (Catalan
+    many), by the degree of the left subtree, then left, then right."""
     if degree < 0:
         raise OracleError("degree must be >= 0")
-    levels: list[list[Term]] = [[basic("M")]]
+    levels = [["M"]]
     for d in range(1, degree + 1):
         levels.append([
-            app(left, right)
+            f".{left}{right}"
             for i in range(d)
             for left in levels[i]
             for right in levels[d - 1 - i]
@@ -167,15 +168,17 @@ def all_combinators(degree: int) -> list[Term]:
     return levels[degree]
 
 
+def all_combinators(degree: int) -> list[Term]:
+    """The terms of combinator_keys(degree), in its order."""
+    leaves = {"M": basic("M")}
+    return [decode_term(key, leaves) for key in combinator_keys(degree)]
+
+
 def oracle_extremal_census(degree: int) -> dict[str, int]:
     """Classify every combinator of the degree as maximal/minimal by
-    pattern avoidance and return the totals."""
+    pattern avoidance on its prefix key and return the totals."""
     if degree > MAX_CENSUS_DEGREE:
         raise OracleError(f"census limited to degree <= {MAX_CENSUS_DEGREE}")
-    total = maximal = minimal = 0
-    for t in all_combinators(degree):
-        total += 1
-        flags = extremal_by_pattern(t)
-        maximal += flags["maximal"]
-        minimal += flags["minimal"]
-    return {"total": total, "maximal": maximal, "minimal": minimal}
+    flags = [key_extremal_flags(key) for key in combinator_keys(degree)]
+    maximal, minimal = map(sum, zip(*flags))
+    return {"total": len(flags), "maximal": maximal, "minimal": minimal}

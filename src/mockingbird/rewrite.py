@@ -6,6 +6,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import AbstractSet, Mapping, Optional
 
+from .bridge import encode_term, key_extremal_flags
 from .posets import DEFAULT_BUDGET, ExploredPoset, explore
 from .terms import (
     Application,
@@ -22,7 +23,6 @@ from .terms import (
     render_term,
     replace_at,
     subterms_preorder,
-    var,
     variable_indices,
 )
 
@@ -274,20 +274,16 @@ def local_confluence_probe(sys: CLSystem, t: Term,
 # ---------------------------------------------------------------------------
 # Extremal elements of the Mockingbird poset by pattern avoidance
 
-_M = basic("M")
-_MAXIMAL_PATTERN = app(_M, app(var(1), var(2)))          # M (x1 x2)
-_MINIMAL_PATTERN = app(app(var(1), var(2)), app(var(1), var(2)))  # (x1x2)(x1x2)
-
 
 def extremal_by_pattern(t: Term) -> dict[str, bool]:
-    """Maximality/minimality of an M-combinator by factor avoidance."""
-    for _, u in subterms_preorder(t):
-        if isinstance(u, Variable):
-            raise SystemError_("extremal_by_pattern expects a combinator (no variables)")
-        if isinstance(u, Basic) and u.name != "M":
-            raise SystemError_(f"foreign combinator {u.name} (alphabet is {{M}})")
-    from .terms import contains_factor
-    return {
-        "maximal": not contains_factor(t, _MAXIMAL_PATTERN),
-        "minimal": not contains_factor(t, _MINIMAL_PATTERN),
-    }
+    """Maximality/minimality of an M-combinator by factor avoidance:
+    maximal avoids M(x1 x2) and minimal avoids (x1 x2)(x1 x2).  Read off
+    the prefix key (bridge.key_extremal_flags), so any depth answers."""
+    try:
+        key, leaves = encode_term(t)
+    except TermError as exc:  # a foreign combinator
+        raise SystemError_(str(exc)) from None
+    if len(leaves) > 1:
+        raise SystemError_("extremal_by_pattern expects a combinator (no variables)")
+    maximal, minimal = key_extremal_flags(key)
+    return {"maximal": maximal, "minimal": minimal}

@@ -10,7 +10,9 @@ sequences coincide under both indexings.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Optional
 
 from . import series as serieslib
@@ -43,6 +45,12 @@ class SequenceError(ValueError):
     pass
 
 
+def decimal_str(n: int) -> str:
+    """The digits of n, through the exact decimal module, which the
+    interpreter's 4,300-digit limit on int-str conversion does not cover."""
+    return format(Decimal(n), "f")
+
+
 @dataclass
 class SequenceTable:
     name: str
@@ -55,7 +63,7 @@ class SequenceTable:
             "name": self.name,
             "indexing": self.indexing,
             "method": self.method,
-            "values": [str(v) for v in self.values],
+            "values": [decimal_str(v) for v in self.values],
         }
 
 
@@ -278,6 +286,9 @@ METHODS = {
 # OEIS b-file comparison
 
 
+_INTEGER_FIELD = re.compile(r"[+-]?[0-9]+")
+
+
 def load_bfile(path: str) -> SequenceTable:
     values: list[int] = []
     expected: Optional[int] = None
@@ -290,10 +301,9 @@ def load_bfile(path: str) -> SequenceTable:
             parts = line.split()
             if len(parts) != 2:
                 raise SequenceError(f"{path}:{lineno}: expected 'n a(n)'")
-            try:
-                n, a = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise SequenceError(f"{path}:{lineno}: non-integer field") from None
+            if not all(_INTEGER_FIELD.fullmatch(part) for part in parts):
+                raise SequenceError(f"{path}:{lineno}: non-integer field")
+            n, a = (int(Decimal(part)) for part in parts)  # any length
             if expected is None:
                 first = expected = n
             if n != expected:
@@ -396,9 +406,9 @@ def crosscheck_all(max_d: int = 12, gated: bool = False) -> CrosscheckReport:
             f"({counts.elements}, {counts.hasse_edges})")
 
     # Extremal census over every combinator of each degree.
-    rec_motzkin = seq_by_recurrence("motzkin", 8).values
-    rec_min = seq_by_recurrence("min", 8).values
-    for degree in range(8):
+    rec_motzkin = seq_by_recurrence("motzkin", MAX_CENSUS_DEGREE + 1).values
+    rec_min = seq_by_recurrence("min", MAX_CENSUS_DEGREE + 1).values
+    for degree in range(MAX_CENSUS_DEGREE + 1):
         census = oracle_extremal_census(degree)
         ok = (census["maximal"] == rec_motzkin[degree]
               and census["minimal"] == rec_min[degree])

@@ -9,8 +9,10 @@ Application nodes are hash-consed through the :func:`app` factory; equality
 is structural with an identity fast path, so interning is an optimization,
 never a correctness requirement.
 
-The parser reads any depth in one pass.  Printing and factor search
-recurse over the term, as iterative versions of both measured slower.
+The parser reads any depth in one pass.  Printing recurses over the term,
+as an iterative printer measured slower.  The extremal factors of
+M-combinators are found on prefix keys (bridge.key_extremal_flags), not by
+a search over terms.
 """
 
 from __future__ import annotations
@@ -262,7 +264,7 @@ def contains_basic(t: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Nonlinear factor matching
+# Nonlinear pattern matching
 
 
 def match_pattern(pattern: Term, subject: Term,
@@ -299,25 +301,6 @@ def subterms_preorder(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
         if isinstance(u, Application):
             stack.append((path + (1,), u.right))
             stack.append((path + (0,), u.left))
-
-
-def find_factor(t: Term, pattern: Term) -> Optional[tuple[int, ...]]:
-    """Pre-order position of the first subterm matching pattern, or None."""
-    def scan(u: Term, path: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        if match_pattern(pattern, u, {}):
-            return path
-        if isinstance(u, Application):
-            found = scan(u.left, path + (0,))
-            if found is not None:
-                return found
-            return scan(u.right, path + (1,))
-        return None
-
-    return scan(t, ())
-
-
-def contains_factor(t: Term, pattern: Term) -> bool:
-    return find_factor(t, pattern) is not None
 
 
 def replace_at(t: Term, path: tuple[int, ...], replacement: Term) -> Term:

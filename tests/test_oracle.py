@@ -20,6 +20,7 @@ from mockingbird.oracle import (
 from mockingbird.posets import poset_analysis
 from mockingbird.sequences import interval_family
 from mockingbird.series import solve_interval_family
+from tests_util import all_combinators_nested
 
 F = parse_forest
 
@@ -154,3 +155,8 @@ class TestCensus:
     def test_degree_cap(self):
         with pytest.raises(OracleError):
             oracle_extremal_census(11)
+
+    def test_all_combinators_match_nested_terms_degree_le_8(self):
+        # the same terms in the same order as the Term-level loop
+        for degree in range(9):
+            assert all_combinators(degree) == all_combinators_nested(degree)

@@ -1,5 +1,9 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mockingbird.bridge import right_comb
 from mockingbird.oracle import all_combinators
 from mockingbird.posets import poset_analysis
 from mockingbird.rewrite import (
@@ -12,7 +16,8 @@ from mockingbird.rewrite import (
     step_predecessors,
     step_successors,
 )
-from mockingbird.terms import parse_term, render_term, term_metrics, var
+from mockingbird.terms import app, parse_term, render_term, term_metrics
+from tests_util import random_m_term
 
 SYS_M = load_system("builtin:M")
 SYS_I = load_system("builtin:I")
@@ -228,6 +233,9 @@ class TestExtremal:
     def test_examples(self):
         assert extremal_by_pattern(TM("((MM)M)M")) == {
             "maximal": True, "minimal": True}
+        # no M(x1 x2), and the two sides MM and M differ
+        assert extremal_by_pattern(TM("(MM)M")) == {
+            "maximal": True, "minimal": True}
         assert extremal_by_pattern(TM("M(MM)")) == {
             "maximal": False, "minimal": True}
         assert extremal_by_pattern(TM("(MM)(MM)")) == {
@@ -240,6 +248,24 @@ class TestExtremal:
     def test_foreign_combinator_rejected(self):
         with pytest.raises(SystemError_):
             extremal_by_pattern(parse_term("K", {"K"}))
+
+    def test_deep_combs(self):
+        # no recursion over the term: both answer at any depth
+        left_comb = TM("M")
+        for _ in range(3000):
+            left_comb = app(left_comb, TM("M"))
+        assert extremal_by_pattern(right_comb(3000)) == {
+            "maximal": False, "minimal": True}
+        assert extremal_by_pattern(left_comb) == {
+            "maximal": True, "minimal": True}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(9, 16), st.integers(0, 2**32))
+    def test_agrees_with_graph_characterization_random(self, degree, seed):
+        t = random_m_term(random.Random(seed), degree)
+        flags = extremal_by_pattern(t)
+        assert flags["maximal"] == (step_successors(SYS_M, t) <= {t})
+        assert flags["minimal"] == (step_predecessors(SYS_M, t) <= {t})
 
     def test_agrees_with_graph_characterization_degree_le_8(self):
         for degree in range(9):

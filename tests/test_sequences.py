@@ -262,6 +262,30 @@ class TestBfile:
         payload = table.to_json_dict()
         assert payload["values"][-1] == "438176621806663544657"
 
+    def test_json_dict_past_the_digit_limit(self):
+        # the last value has more than the interpreter's 4,300 digits
+        table = seq_by_recurrence("sizes", 17)
+        value, text = table.values[-1], table.to_json_dict()["values"][-1]
+        digits = len(text)
+        assert digits > 4300
+        assert 10 ** (digits - 1) <= value < 10 ** digits
+        assert int(text[:18]) == value // 10 ** (digits - 18)
+        assert int(text[-18:]) == value % 10 ** 18
+
+    def test_entry_past_the_digit_limit(self, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("0 1\n1 " + "7" * 5000 + "\n")
+        assert load_bfile(str(path)).values == [1, 7 * (10 ** 5000 - 1) // 9]
+
+    @pytest.mark.parametrize("field", [
+        "7" * 5000 + "x", "7" * 2500 + "." + "7" * 2500, "1e5000", "NaN",
+        "1_000", "\u0663"])
+    def test_non_integer_field(self, tmp_path, field):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0 1\n1 {field}\n")
+        with pytest.raises(SequenceError, match="non-integer field"):
+            load_bfile(str(path))
+
 
 class TestCrosscheck:
     def test_full_report_passes(self):
@@ -275,3 +299,4 @@ class TestCrosscheck:
         labels = [c["label"] for c in payload["checks"]]
         assert any("golden prefix" in label for label in labels)
         assert any("oracle ladder d=4" in label for label in labels)
+        assert any("census degree 10" in label for label in labels)

@@ -9,14 +9,10 @@ from mockingbird.terms import (
     app,
     basic,
     compose,
-    contains_factor,
-    find_factor,
     match_pattern,
     parse_term,
     render_term,
     replace_at,
-    subterm_at,
-    subterms_preorder,
     term_metrics,
     var,
 )
@@ -204,33 +200,6 @@ class TestCompose:
 
 
 class TestFactor:
-    def test_nonlinear_square_match(self):
-        assert contains_factor(T("(MM)(MM)"), T("(x1x2)(x1x2)", frozenset()))
-
-    def test_no_match(self):
-        assert not contains_factor(T("(MM)M"), T("M(x1x2)"))
-
-    def test_root_match(self):
-        assert contains_factor(T("M(MM)"), T("M(x1x2)"))
-
-    def test_nonlinear_rejects_unequal_children(self):
-        assert not contains_factor(T("(MM)M"), T("(x1x2)(x1x2)", frozenset()))
-
-    def test_literal_subterm_is_factor(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            t = random_term(rng, 4)
-            for _, sub in subterms_preorder(t):
-                assert contains_factor(t, sub)
-
-    def test_bare_variable_matches_anything(self):
-        assert contains_factor(M, var(1))
-
-    def test_find_factor_position(self):
-        pos = find_factor(T("M(MM)"), T("MM"))
-        assert pos == (1,)
-        assert subterm_at(T("M(MM)"), pos) == T("MM")
-
     def test_match_pattern_binding_rollback(self):
         bindings = {}
         ok = match_pattern(T("(x1x1)x1", frozenset()), T("(MM)(MM)"), bindings)

@@ -1,7 +1,7 @@
 """Shared helpers for the test suite, and reference implementations that
 the library's code is compared against: the recursive term parser, the
-forest step on nested tuples, the term step by redex paths, and the
-recursive fr."""
+forest step on nested tuples, the term step by redex paths, the recursive
+fr, and the combinators of a degree built as terms."""
 
 from mockingbird import sequences
 from mockingbird.forests import BLACK, EMPTY, WHITE
@@ -33,6 +33,21 @@ def random_m_term(rng, degree, variables=0):
     left_degree = rng.randint(0, degree - 1)
     return app(random_m_term(rng, left_degree, variables),
                random_m_term(rng, degree - 1 - left_degree, variables))
+
+
+def all_combinators_nested(degree):
+    """All binary application trees with the given number of applications
+    over the single leaf M, built as terms level by level: the reference
+    for the order of ``oracle.all_combinators``."""
+    levels = [[_M]]
+    for d in range(1, degree + 1):
+        levels.append([
+            app(left, right)
+            for i in range(d)
+            for left in levels[i]
+            for right in levels[d - 1 - i]
+        ])
+    return levels[degree]
 
 
 # ---------------------------------------------------------------------------
