@@ -13,6 +13,7 @@ from mockingbird.terms import (
     parse_term,
     render_term,
     replace_at,
+    subterms_preorder,
     term_metrics,
     var,
 )
@@ -199,7 +200,24 @@ class TestCompose:
         assert compose(t, [var(2), M]) == app(var(2), M)
 
 
+def has_factor(t, pattern):
+    """Whether pattern matches t at some subterm (a factor of t)."""
+    return any(match_pattern(pattern, u, {}) for _, u in subterms_preorder(t))
+
+
 class TestFactor:
+    def test_nonlinear_square_match(self):
+        assert has_factor(T("(MM)(MM)"), T("(x1x2)(x1x2)", frozenset()))
+
+    def test_no_match(self):
+        assert not has_factor(T("(MM)M"), T("M(x1x2)"))
+
+    def test_root_match(self):
+        assert has_factor(T("M(MM)"), T("M(x1x2)"))
+
+    def test_nonlinear_rejects_unequal_children(self):
+        assert not has_factor(T("(MM)M"), T("(x1x2)(x1x2)", frozenset()))
+
     def test_match_pattern_binding_rollback(self):
         bindings = {}
         ok = match_pattern(T("(x1x1)x1", frozenset()), T("(MM)(MM)"), bindings)
