@@ -182,14 +182,14 @@ _LADDER_RECURRENCES = {
 # keyed on the ladder count, so the conventional and the ladder indexing of
 # a sequence share one limit.  Measured on 2 CPUs (Python 3.11): at these
 # limits no recurrence or series request takes over 3 s, except motzkin
-# and min by recurrence, capped at the largest count measured under 10 s;
-# one index more at least doubles the work of sizes, edges, intervals and
-# classes.  The oracle limits are the oracle's own.
+# and min by either method, capped at the largest count measured under
+# 10 s; one index more at least doubles the work of sizes, edges,
+# intervals and classes.  The oracle limits are the oracle's own.
 LADDER_COUNT_LIMITS = {
     "recurrence": {"sizes": 25, "edges": 25, "intervals": 13,
                    "motzkin": 3200, "min": 3000, "classes": 25},
     "series": {"sizes": 25, "edges": 25, "intervals": 15,
-               "motzkin": 512, "min": 512, "classes": 25},
+               "motzkin": 2500, "min": 2200, "classes": 25},
     "oracle": {"sizes": MAX_STREAM_D + 1, "edges": MAX_STREAM_D + 1,
                "intervals": MAX_EXACT_D + 1,
                "motzkin": MAX_CENSUS_DEGREE + 1,

@@ -1,11 +1,15 @@
-"""Truncated power series over exact integers, the Hadamard and max
-products, and fixpoint solving of the six counting equations.
+"""Truncated power series over exact integers, and the fixpoints of the
+six counting equations.
 
 Every equation has the shape F = Phi(F) where each nonconstant term of Phi
 carries a factor z, so Phi is a contraction in the z-adic metric: coefficient
-r of Phi(F) depends only on the coefficients of F below r.  Solvers run N+1
-rounds of growing order: round r works at truncation order r, on a series
-whose coefficients 0..r-1 are already exact, and fixes coefficient r.
+r of Phi(F) depends only on the coefficients of F below r.  Phi is built
+from lazy series, each of which computes its coefficient r on demand and
+reads only the coefficients of its operands that r needs; F is the lazy
+series whose coefficient r is that of Phi(F), kept once computed.  Solvers
+read F's coefficients 0..N in order, so each is computed once, from
+coefficients already known: the lazy scheme of van der Hoeven, "Relax,
+but don't be too lazy" (2002), with the naive product.
 
 The catalytic interval family is solved differently at its low levels:
 coefficient d of F_k is the k-th moment of the upset sizes of the d-ladder
@@ -16,6 +20,7 @@ runs only above that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable
 
 
@@ -38,99 +43,99 @@ class TruncSeries:
     def __getitem__(self, n: int) -> int:
         return self.coefficients[n]
 
-    def _check(self, other: "TruncSeries") -> None:
-        if self.order != other.order:
-            raise SeriesError(
-                f"order mismatch: {self.order} vs {other.order}")
 
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        return TruncSeries(tuple(a + b for a, b in
-                                 zip(self.coefficients, other.coefficients)))
+class LazySeries:
+    """A power series whose coefficient r is ``coefficient(r)``, computed
+    when it is read.  The operators build new lazy series and compute
+    nothing.  A product reads each coefficient of its operands many times,
+    so its operands keep theirs (``_Kept``); other series keep none."""
 
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        return TruncSeries(tuple(a - b for a, b in
-                                 zip(self.coefficients, other.coefficients)))
+    def __init__(self, coefficient: Callable[[int], int]):
+        self.coefficient = coefficient
 
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        a, b = self.coefficients, other.coefficients
-        n = len(a)
-        out = [0] * n
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(n - i):
-                    out[i + j] += ai * b[j]
-        return TruncSeries(tuple(out))
+    def __getitem__(self, r: int) -> int:
+        return self.coefficient(r)
 
-    def scale(self, c: int) -> "TruncSeries":
-        return TruncSeries(tuple(c * a for a in self.coefficients))
+    def truncate(self, order: int) -> TruncSeries:
+        return TruncSeries(tuple(self[r] for r in range(order + 1)))
 
-    def shift(self) -> "TruncSeries":
-        """Multiply by z (truncated)."""
-        return TruncSeries((0,) + self.coefficients[:-1])
+    def __add__(self, other: LazySeries) -> LazySeries:
+        return LazySeries(lambda r: self[r] + other[r])
 
+    def __sub__(self, other: LazySeries) -> LazySeries:
+        return LazySeries(lambda r: self[r] - other[r])
 
-def constant(c: int, order: int) -> TruncSeries:
-    return TruncSeries((c,) + (0,) * order)
+    def scale(self, c: int) -> LazySeries:
+        return LazySeries(lambda r: c * self[r])
 
+    def shift(self) -> LazySeries:
+        """Multiply by z."""
+        return LazySeries(lambda r: self[r - 1] if r else 0)
 
-def zero(order: int) -> TruncSeries:
-    return constant(0, order)
+    def hadamard(self, other: LazySeries) -> LazySeries:
+        """Coefficientwise product."""
+        return LazySeries(lambda r: self[r] * other[r])
 
+    def substitute_z2(self) -> LazySeries:
+        """Substitute z := z^2."""
+        return LazySeries(lambda r: 0 if r % 2 else self[r // 2])
 
-def one(order: int) -> TruncSeries:
-    return constant(1, order)
+    def __mul__(self, other: LazySeries) -> LazySeries:
+        """Cauchy product."""
+        a, b = _kept(self), _kept(other)
 
+        def coefficient(r: int) -> int:
+            return sum(map(mul, a.upto(r)[:r + 1], b.upto(r)[r::-1]))
 
-def z(order: int) -> TruncSeries:
-    if order < 1:
-        return zero(order)
-    return TruncSeries((0, 1) + (0,) * (order - 1))
+        return LazySeries(coefficient)
 
+    def max_product(self, other: LazySeries) -> LazySeries:
+        """Bilinear extension of the monomial rule z^i * z^j = z^max(i,j):
+        coefficient r is a_r * (sum of b below r) + b_r * (sum of a below r)
+        + a_r * b_r."""
+        a, b = _kept(self), _kept(other)
+        below = [0, 0, 0]  # n, sum of a below n, sum of b below n
 
-def series_arith(op: str, a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise SeriesError(f"unknown operation {op!r}")
+        def coefficient(r: int) -> int:
+            n, sum_a, sum_b = below if below[0] <= r else (0, 0, 0)
+            for i in range(n, r):
+                sum_a += a[i]
+                sum_b += b[i]
+            below[:] = r, sum_a, sum_b
+            ar, br = a[r], b[r]
+            return ar * sum_b + br * sum_a + ar * br
 
-
-def hadamard(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Coefficientwise product."""
-    a._check(b)
-    return TruncSeries(tuple(x * y for x, y in
-                             zip(a.coefficients, b.coefficients)))
+        return LazySeries(coefficient)
 
 
-def max_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Bilinear extension of the monomial rule z^i * z^j = z^max(i,j):
-    coefficient n is a_n * (sum of b below n) + b_n * (sum of a below n)
-    + a_n * b_n."""
-    a._check(b)
-    out = []
-    sum_a = 0
-    sum_b = 0
-    for an, bn in zip(a.coefficients, b.coefficients):
-        out.append(an * sum_b + bn * sum_a + an * bn)
-        sum_a += an
-        sum_b += bn
-    return TruncSeries(tuple(out))
+class _Kept(LazySeries):
+    """A lazy series that keeps its coefficients: read in any order, each
+    is computed once, after all the ones below it."""
+
+    def __init__(self, coefficient: Callable[[int], int]):
+        super().__init__(coefficient)
+        self.known: list[int] = []
+
+    def __getitem__(self, r: int) -> int:
+        return self.upto(r)[r]
+
+    def upto(self, r: int) -> list[int]:
+        """The coefficients computed so far, at least those up to r."""
+        known = self.known
+        while len(known) <= r:
+            known.append(self.coefficient(len(known)))
+        return known
 
 
-def substitute_z2(a: TruncSeries) -> TruncSeries:
-    """Substitute z := z^2, truncated at the same order."""
-    n = a.order
-    out = [0] * (n + 1)
-    for i, c in enumerate(a.coefficients):
-        if 2 * i > n:
-            break
-        out[2 * i] = c
-    return TruncSeries(tuple(out))
+def _kept(a: LazySeries) -> _Kept:
+    """The operand of a product, whose coefficients are read many times."""
+    return a if isinstance(a, _Kept) else _Kept(a.__getitem__)
+
+
+def polynomial(*coefficients: int) -> LazySeries:
+    """The series with these coefficients, then zeros."""
+    return LazySeries(
+        lambda r: coefficients[r] if r < len(coefficients) else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -142,50 +147,45 @@ def substitute_z2(a: TruncSeries) -> TruncSeries:
 # conventional indexing.
 
 
-def _fixpoint(phi: Callable[[TruncSeries], TruncSeries], order: int) -> TruncSeries:
-    """Iterate F = Phi(F) from zero with round r at truncation order r.
-
-    ``phi`` builds its constants at the order of the series it is given."""
-    coefficients: tuple[int, ...] = ()
-    for _ in range(order + 1):
-        coefficients = phi(TruncSeries(coefficients + (0,))).coefficients
-    return TruncSeries(coefficients)
+def _fixpoint(phi: Callable[[LazySeries], LazySeries], order: int) -> TruncSeries:
+    """Coefficients 0..order of the F with F = Phi(F)."""
+    f = _Kept(lambda r: equation[r])
+    equation = phi(f)
+    return f.truncate(order)
 
 
 def _solve_sizes(order: int) -> TruncSeries:
     return _fixpoint(
-        lambda f: one(f.order) + f.shift() + hadamard(f, f).shift(), order)
+        lambda f: polynomial(1) + f.shift() + f.hadamard(f).shift(), order)
 
 
 def _solve_edges(order: int) -> TruncSeries:
     # every sizes term carries a factor z, so only its coefficients below
     # `order` are read
-    g = _solve_sizes(max(order - 1, 0))
+    zg = polynomial(*_solve_sizes(max(order - 1, 0)).coefficients).shift()
 
-    def phi(f: TruncSeries) -> TruncSeries:
+    def phi(f: LazySeries) -> LazySeries:
         zf = f.shift()
-        zg = TruncSeries((0,) + g.coefficients[:f.order])
-        return zf + zg + hadamard(zf, zg).scale(2)
+        return zf + zg + zf.hadamard(zg).scale(2)
 
     return _fixpoint(phi, order)
 
 
 def _solve_motzkin(order: int) -> TruncSeries:
     return _fixpoint(
-        lambda f: one(f.order) + z(f.order) + (f * f).shift() - f.shift(),
-        order)
+        lambda f: polynomial(1, 1) + (f * f).shift() - f.shift(), order)
 
 
 def _solve_min(order: int) -> TruncSeries:
     return _fixpoint(
-        lambda f: one(f.order) + z(f.order) + (f * f).shift()
-        - substitute_z2(f).shift(), order)
+        lambda f: polynomial(1, 1) + (f * f).shift()
+        - f.substitute_z2().shift(), order)
 
 
 def _solve_classes(order: int) -> TruncSeries:
     return _fixpoint(
-        lambda f: one(f.order) + z(f.order) + max_product(f, f).shift()
-        - f.shift(), order)
+        lambda f: polynomial(1, 1) + f.max_product(f).shift() - f.shift(),
+        order)
 
 
 # Levels of the interval family filled from upset-size moments.  The

@@ -17,7 +17,6 @@ a search over terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 
@@ -127,17 +126,6 @@ def app(left: Term, right: Term) -> Application:
     if t is None:
         t = _APP_CACHE[key] = Application(left, right)
     return t
-
-
-@dataclass(frozen=True)
-class TermMetrics:
-    degree: int
-    height: int
-
-
-def term_metrics(t: Term) -> TermMetrics:
-    """Degree = number of application nodes, height = maximal leaf depth."""
-    return TermMetrics(degree=t.degree, height=t.height)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +299,3 @@ def replace_at(t: Term, path: tuple[int, ...], replacement: Term) -> Term:
     if path[0] == 0:
         return app(replace_at(t.left, path[1:], replacement), t.right)
     return app(t.left, replace_at(t.right, path[1:], replacement))
-
-
-def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
-    for step in path:
-        if not isinstance(t, Application):
-            raise TermError("path goes below a leaf")
-        t = t.left if step == 0 else t.right
-    return t

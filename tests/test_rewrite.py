@@ -16,8 +16,8 @@ from mockingbird.rewrite import (
     step_predecessors,
     step_successors,
 )
-from mockingbird.terms import app, parse_term, render_term, term_metrics
-from tests_util import random_m_term
+from mockingbird.terms import app, parse_term, render_term
+from tests_util import random_m_term, term_metrics
 
 SYS_M = load_system("builtin:M")
 SYS_I = load_system("builtin:I")

@@ -103,16 +103,22 @@ class TestRunawayCounts:
             for method in ("recurrence", "series"):
                 sequences._ladder_count(name, count, "mockingbird", method)
 
-    def test_series_census_refused_above_512(self):
-        for name in ("motzkin", "min"):
+    def test_series_census_refused_above_limit(self):
+        for name, count in (("motzkin", 2501), ("min", 2201)):
             with pytest.raises(SequenceError, match="--method recurrence"):
-                seq_by_series(name, 600)
+                seq_by_series(name, count)
 
     def test_census_admitted_by_recurrence_and_small_series(self):
         for name in ("motzkin", "min"):
             assert len(seq_by_recurrence(name, 600).values) == 600
             assert seq_by_series(name, 150).values == \
                 seq_by_recurrence(name, 150).values
+
+    def test_census_by_series_at_the_old_limit(self):
+        # 512 was the series limit while the fixpoint was cubic
+        for name in ("motzkin", "min"):
+            assert seq_by_series(name, 512).values == \
+                seq_by_recurrence(name, 512).values
 
 
 class TestAdmissionRule:
@@ -148,8 +154,8 @@ class TestAdmissionRule:
             (seq_by_oracle, "sizes", 8,
              "sizes by oracle is limited to count 7, got 8; "
              "--method recurrence or series admits it"),
-            (seq_by_series, "min", 600,
-             "min by series is limited to count 512, got 600; "
+            (seq_by_series, "min", 2201,
+             "min by series is limited to count 2200, got 2201; "
              "--method recurrence admits it"),
             (seq_by_recurrence, "motzkin", 100_000,
              "motzkin by recurrence is limited to count 3200, got 100000"),

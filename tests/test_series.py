@@ -1,17 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mockingbird.series import (
     SeriesError,
-    TruncSeries,
+    polynomial,
+    solve_equation,
+    solve_interval_family,
+)
+from tests_util import (
+    WholeSeries,
     constant,
     hadamard,
     max_product,
     one,
     series_arith,
-    solve_equation,
-    solve_interval_family,
     substitute_z2,
     z,
     zero,
@@ -19,7 +23,7 @@ from mockingbird.series import (
 
 
 def S(*coeffs):
-    return TruncSeries(tuple(coeffs))
+    return WholeSeries(tuple(coeffs))
 
 
 class TestArith:
@@ -87,6 +91,49 @@ class TestSubstituteZ2:
         assert substitute_z2(S(0, 1)) == S(0, 0)
 
 
+def _lazy_and_whole(a, b, c):
+    """Pairs of a lazy series and the whole series it must equal."""
+    la, lb = polynomial(*a.coefficients), polynomial(*b.coefficients)
+    return [
+        (la, a),
+        (la + lb, a + b),
+        (la - lb, a - b),
+        (la.scale(c), a.scale(c)),
+        (la.shift(), a.shift()),
+        (la * lb, a * b),
+        (la * la, a * a),
+        (la.hadamard(lb), hadamard(a, b)),
+        (la.max_product(lb), max_product(a, b)),
+        (la.max_product(la), max_product(a, a)),
+        (la.substitute_z2(), substitute_z2(a)),
+        # products of series that keep no coefficients of their own
+        (((la + lb) * lb.shift()).max_product(la.substitute_z2() - lb),
+         max_product((a + b) * b.shift(), substitute_z2(a) - b)),
+    ]
+
+
+@st.composite
+def series_cases(draw):
+    order = draw(st.integers(0, 30))
+    coefficients = st.lists(st.integers(-2 ** 70, 2 ** 70),
+                            min_size=order + 1, max_size=order + 1)
+    return (S(*draw(coefficients)), S(*draw(coefficients)),
+            draw(st.integers(-9, 9)))
+
+
+class TestLazy:
+    @settings(max_examples=200, deadline=None)
+    @given(series_cases())
+    def test_coefficients_match_whole_series(self, case):
+        a, b, c = case
+        for lazy, whole in _lazy_and_whole(a, b, c):
+            assert lazy.truncate(a.order).coefficients == whole.coefficients
+        # read from the top down: each series computes what it needs
+        for lazy, whole in _lazy_and_whole(a, b, c):
+            top_down = [lazy[r] for r in range(a.order, -1, -1)]
+            assert top_down[::-1] == list(whole.coefficients)
+
+
 class TestSolve:
     def test_motzkin_prefix(self):
         assert solve_equation("motzkin", 7).coefficients == \
@@ -120,6 +167,7 @@ class TestSolve:
 
 
 def _residual(name, f, order):
+    f = WholeSeries(f.coefficients)
     o = one(order)
     zz = z(order)
     if name == "motzkin":
@@ -142,8 +190,8 @@ class TestResiduals:
 
     def test_edges_residual(self):
         order = 12
-        g = solve_equation("sizes", order)
-        f = solve_equation("edges", order)
+        g = WholeSeries(solve_equation("sizes", order).coefficients)
+        f = WholeSeries(solve_equation("edges", order).coefficients)
         rhs = f.shift() + g.shift() + hadamard(f, g).scale(2).shift()
         assert rhs == f
 

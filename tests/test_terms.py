@@ -14,10 +14,9 @@ from mockingbird.terms import (
     render_term,
     replace_at,
     subterms_preorder,
-    term_metrics,
     var,
 )
-from tests_util import parse_term_recursive
+from tests_util import parse_term_recursive, term_metrics
 
 M = basic("M")
 

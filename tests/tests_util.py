@@ -1,20 +1,24 @@
 """Shared helpers for the test suite, and reference implementations that
 the library's code is compared against: the recursive term parser, the
 forest step on nested tuples, the term step by redex paths, the recursive
-fr, and the combinators of a degree built as terms."""
+fr, the combinators of a degree built as terms, and the whole-series
+operators on truncated series."""
+
+from dataclasses import dataclass
 
 from mockingbird import sequences
 from mockingbird.forests import BLACK, EMPTY, WHITE
+from mockingbird.series import SeriesError, TruncSeries
 from mockingbird.terms import (
     Application,
     Basic,
+    Term,
     TermError,
     TermParseError,
     Variable,
     app,
     basic,
     replace_at,
-    subterm_at,
     var,
 )
 
@@ -48,6 +52,25 @@ def all_combinators_nested(degree):
             for right in levels[d - 1 - i]
         ])
     return levels[degree]
+
+
+@dataclass(frozen=True)
+class TermMetrics:
+    degree: int
+    height: int
+
+
+def term_metrics(t: Term) -> TermMetrics:
+    """Degree = number of application nodes, height = maximal leaf depth."""
+    return TermMetrics(degree=t.degree, height=t.height)
+
+
+def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
+    for step in path:
+        if not isinstance(t, Application):
+            raise TermError("path goes below a leaf")
+        t = t.left if step == 0 else t.right
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +253,104 @@ def fire_redex(t, path):
     """Rewrite the redex M s at the path into s s."""
     s = subterm_at(t, path).right
     return replace_at(t, path, app(s, s))
+
+
+# ---------------------------------------------------------------------------
+# Whole-series operators: each computes every coefficient up to the order.
+# They are the reference for the lazy series that ``series`` solves with.
+
+
+class WholeSeries(TruncSeries):
+    def _check(self, other: "WholeSeries") -> None:
+        if self.order != other.order:
+            raise SeriesError(
+                f"order mismatch: {self.order} vs {other.order}")
+
+    def __add__(self, other: "WholeSeries") -> "WholeSeries":
+        self._check(other)
+        return WholeSeries(tuple(a + b for a, b in
+                                 zip(self.coefficients, other.coefficients)))
+
+    def __sub__(self, other: "WholeSeries") -> "WholeSeries":
+        self._check(other)
+        return WholeSeries(tuple(a - b for a, b in
+                                 zip(self.coefficients, other.coefficients)))
+
+    def __mul__(self, other: "WholeSeries") -> "WholeSeries":
+        self._check(other)
+        a, b = self.coefficients, other.coefficients
+        n = len(a)
+        out = [0] * n
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(n - i):
+                    out[i + j] += ai * b[j]
+        return WholeSeries(tuple(out))
+
+    def scale(self, c: int) -> "WholeSeries":
+        return WholeSeries(tuple(c * a for a in self.coefficients))
+
+    def shift(self) -> "WholeSeries":
+        """Multiply by z (truncated)."""
+        return WholeSeries((0,) + self.coefficients[:-1])
+
+
+def constant(c: int, order: int) -> WholeSeries:
+    return WholeSeries((c,) + (0,) * order)
+
+
+def zero(order: int) -> WholeSeries:
+    return constant(0, order)
+
+
+def one(order: int) -> WholeSeries:
+    return constant(1, order)
+
+
+def z(order: int) -> WholeSeries:
+    if order < 1:
+        return zero(order)
+    return WholeSeries((0, 1) + (0,) * (order - 1))
+
+
+def series_arith(op: str, a: WholeSeries, b: WholeSeries) -> WholeSeries:
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    raise SeriesError(f"unknown operation {op!r}")
+
+
+def hadamard(a: WholeSeries, b: WholeSeries) -> WholeSeries:
+    """Coefficientwise product."""
+    a._check(b)
+    return WholeSeries(tuple(x * y for x, y in
+                             zip(a.coefficients, b.coefficients)))
+
+
+def max_product(a: WholeSeries, b: WholeSeries) -> WholeSeries:
+    """Bilinear extension of the monomial rule z^i * z^j = z^max(i,j):
+    coefficient n is a_n * (sum of b below n) + b_n * (sum of a below n)
+    + a_n * b_n."""
+    a._check(b)
+    out = []
+    sum_a = 0
+    sum_b = 0
+    for an, bn in zip(a.coefficients, b.coefficients):
+        out.append(an * sum_b + bn * sum_a + an * bn)
+        sum_a += an
+        sum_b += bn
+    return WholeSeries(tuple(out))
+
+
+def substitute_z2(a: WholeSeries) -> WholeSeries:
+    """Substitute z := z^2, truncated at the same order."""
+    n = a.order
+    out = [0] * (n + 1)
+    for i, c in enumerate(a.coefficients):
+        if 2 * i > n:
+            break
+        out[2 * i] = c
+    return WholeSeries(tuple(out))
