@@ -1,5 +1,6 @@
-"""Closed recurrences for the six counting sequences, the catalytic
-interval family, b-file comparison, and the all-methods cross-check.
+"""Closed recurrences for the six counting sequences, b-file comparison,
+and the all-methods cross-check.  The interval recurrence is the level loop
+of ``series.interval_levels``, started from its two closed-form levels.
 
 Internal values are ladder-indexed: index d refers to the upset of the
 d-ladder (equivalently, degree d for the census sequences, height d for
@@ -88,45 +89,30 @@ def _edges_ladder(count: int) -> list[int]:
     return out[:count]
 
 
-_INTERVAL_MEMO: dict[tuple[int, int], int] = {}
+def _interval_rows(order: int) -> list[list[int]]:
+    """``series.interval_levels`` from a_k(0) = 1 and a_k(1) = 1 + 2^k: all
+    a_*(0) are 1, so the binomial sum of level 1 collapses to 2^k."""
+    start = [[1] * (1 << order),
+             [1 + (1 << k) for k in range(1, (1 << order >> 1) + 1)]]
+    return serieslib.interval_levels(order, start[:order + 1])
 
 
 def interval_family(k: int, d: int) -> int:
-    """Catalytic interval counts: a_k(0) = 1 and
-    a_k(d) = a_k(d-1)^2 + sum over i in [0..k] of C(k,i) a_{k+i}(d-1).
-    a_1(d) is the interval count of the d-ladder upset."""
+    """a_k(d) of the catalytic interval family; a_1(d) is the interval
+    count of the d-ladder upset."""
     if k < 1 or d < 0:
         raise SequenceError("need k >= 1 and d >= 0")
-    cached = _INTERVAL_MEMO.get((k, d))
-    if cached is not None:
-        return cached
-    if d == 0:
-        value = 1
-    elif d == 1:
-        # all a_*(0) = 1, so the binomial sum collapses to 2^k
-        value = 1 + (1 << k)
-    else:
-        prev = interval_family(k, d - 1)
-        value = prev * prev
-        binom = 1  # C(k, i), updated incrementally
-        for i in range(k + 1):
-            value += binom * interval_family(k + i, d - 1)
-            binom = binom * (k - i) // (i + 1)
-    _INTERVAL_MEMO[(k, d)] = value
-    return value
+    return _interval_rows(d + (k - 1).bit_length())[d][k - 1]
 
 
-def interval_memo_keys() -> set[tuple[int, int]]:
-    """Snapshot of the memo keys, for demand-bound instrumentation."""
-    return set(_INTERVAL_MEMO)
-
-
-def clear_interval_memo() -> None:
-    _INTERVAL_MEMO.clear()
+def interval_memo_keys() -> frozenset:
+    """Empty: no interval table outlives a call.  Only perfbench's traced
+    passes call it; it goes with their memo_entries metric (ROADMAP item 4)."""
+    return frozenset()
 
 
 def _intervals_ladder(count: int) -> list[int]:
-    return [interval_family(1, d) for d in range(count)]
+    return [row[0] for row in _interval_rows(max(count - 1, 0))][:count]
 
 
 def _motzkin_by_degree(count: int) -> list[int]:
@@ -365,7 +351,8 @@ class CrosscheckReport:
 
 def crosscheck_all(max_d: int = 12, gated: bool = False) -> CrosscheckReport:
     """Recurrence vs series for every sequence to max_d, golden prefixes,
-    and oracle construction over the feasible range.  ``gated`` adds the
+    intervals by upset-size moments to ladder depth 6, and oracle
+    construction over the feasible range.  ``gated`` adds the
     streaming element/edge oracle at ladder depth 5 (minutes of work)."""
     if max_d < 0:
         raise SequenceError("max_d must be >= 0")
@@ -387,7 +374,7 @@ def crosscheck_all(max_d: int = 12, gated: bool = False) -> CrosscheckReport:
     # Oracle range: explicit poset construction for small ladder depths.
     rec_sizes = seq_by_recurrence("sizes", 6, indexing="ladder").values
     rec_edges = seq_by_recurrence("edges", 6, indexing="ladder").values
-    rec_intervals = seq_by_recurrence("intervals", 5, indexing="ladder").values
+    rec_intervals = seq_by_recurrence("intervals", 7, indexing="ladder").values
     for d in range(5):
         counts = oracle_poset_counts(d, with_intervals=True)
         ok = (counts.elements == rec_sizes[d]
@@ -404,6 +391,13 @@ def crosscheck_all(max_d: int = 12, gated: bool = False) -> CrosscheckReport:
         report.record(
             "oracle ladder d=5: elements/edges (streaming)", ok,
             f"({counts.elements}, {counts.hasse_edges})")
+
+    # a_1(d) is the first moment of the upset sizes of the d-ladder upset
+    moments = [sum(m * v for v, m in dist.items())
+               for dist in serieslib._upset_size_distributions(6)]
+    ok = moments == rec_intervals
+    report.record("intervals: upset-size moments vs recurrence (d <= 6)", ok,
+                  "" if ok else f"got {moments}")
 
     # Extremal census over every combinator of each degree.
     rec_motzkin = seq_by_recurrence("motzkin", MAX_CENSUS_DEGREE + 1).values

@@ -11,10 +11,10 @@ read F's coefficients 0..N in order, so each is computed once, from
 coefficients already known: the lazy scheme of van der Hoeven, "Relax,
 but don't be too lazy" (2002), with the naive product.
 
-The catalytic interval family is solved differently at its low levels:
-coefficient d of F_k is the k-th moment of the upset sizes of the d-ladder
-upset, read off their exact distribution for d <= 4; the family's fixpoint
-runs only above that.
+The catalytic interval family is one level loop, ``interval_levels``, run
+from two sets of start rows: the recurrence of ``sequences`` gives levels 0
+and 1 in closed form, and the series solver gives levels d <= 4 as moments
+of the exact upset-size distributions of the ladder upsets.
 """
 
 from __future__ import annotations
@@ -213,40 +213,44 @@ def _upset_size_distributions(levels: int) -> list[dict[int, int]]:
     return dists
 
 
+def interval_levels(order: int, start: list[list[int]]) -> list[list[int]]:
+    """Rows 0..order of the catalytic interval family, from the first rows
+    ``start``: entry k-1 of row d is a_k(d) = a_k(d-1)^2 + sum over i in
+    [0..k] of C(k,i) a_{k+i}(d-1), for k up to its demand bound 2^(order-d)."""
+    rows = list(start)
+    for d in range(len(rows), order + 1):
+        prev = rows[-1]
+        row = []
+        for k in range(1, (1 << (order - d)) + 1):
+            total = prev[k - 1] * prev[k - 1]
+            binom = 1  # C(k, i), updated incrementally
+            for i, a in enumerate(prev[k - 1:2 * k]):
+                total += binom * a
+                binom = binom * (k - i) // (i + 1)
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
 def solve_interval_family(order: int) -> dict[int, TruncSeries]:
     """Joint solution of the catalytic family F_k = 1 + z(F_k (.) F_k)
     + z * sum over i in [0..k] of C(k,i) F_{k+i}, for k <= 2^order.
 
-    Coefficient d of F_k depends on coefficients d-1 of F_k .. F_{2k}, so
-    level d only needs the series with k <= 2^(order - d); coefficients
-    beyond that demand are never touched and stay zero.
-
     Coefficient d of F_k is a_k(d) = sum over x in P_d of |up x|^k, where
-    P_d is the upset of the d-ladder.  Levels d <= 4 are these moments,
-    summed over the exact upset-size distribution of P_d; each level above
-    is one round of the family's fixpoint, from the level below.
-    """
-    kmax = 1 << order
-    coeffs: dict[int, list[int]] = {
-        k: [0] * (order + 1) for k in range(1, kmax + 1)}
-    moment_levels = min(order, _MOMENT_LEVELS)
-    for d, dist in enumerate(_upset_size_distributions(moment_levels)):
-        limit = 1 << (order - d)
+    P_d is the upset of the d-ladder: levels d <= 4 are these moments, and
+    ``interval_levels`` fills the rest to its demand bound, past which
+    coefficients stay zero."""
+    dists = _upset_size_distributions(min(order, _MOMENT_LEVELS))
+    start = [[0] * (1 << (order - d)) for d in range(len(dists))]
+    for row, dist in zip(start, dists):
         for v, m in dist.items():
             term = m
-            for k in range(1, limit + 1):
+            for i in range(len(row)):
                 term *= v
-                coeffs[k][d] += term
-    for d in range(moment_levels + 1, order + 1):
-        for k in range(1, (1 << (order - d)) + 1):
-            prev = coeffs[k][d - 1]
-            total = prev * prev
-            binom = 1  # C(k, i), updated incrementally
-            for i in range(k + 1):
-                total += binom * coeffs[k + i][d - 1]
-                binom = binom * (k - i) // (i + 1)
-            coeffs[k][d] = total
-    return {k: TruncSeries(tuple(v)) for k, v in coeffs.items()}
+                row[i] += term
+    padded = [row + [0] * ((1 << order) - len(row))
+              for row in interval_levels(order, start)]
+    return {k: TruncSeries(column) for k, column in enumerate(zip(*padded), 1)}
 
 
 def solve_equation(name: str, order: int):

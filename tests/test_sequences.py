@@ -7,17 +7,29 @@ from mockingbird.sequences import (
     METHODS,
     SEQUENCE_NAMES,
     SequenceError,
-    clear_interval_memo,
     compare,
     crosscheck_all,
     interval_family,
-    interval_memo_keys,
     load_bfile,
     seq_by_oracle,
     seq_by_recurrence,
     seq_by_series,
 )
-from tests_util import forbid_sequence_solvers
+from tests_util import forbid_sequence_solvers, interval_family_recursive
+
+
+def record_interval_tables(monkeypatch):
+    """The (order, rows) of every interval table built, in call order."""
+    tables = []
+    levels = sequences.serieslib.interval_levels
+
+    def recording(order, start):
+        rows = levels(order, start)
+        tables.append((order, rows))
+        return rows
+
+    monkeypatch.setattr(sequences.serieslib, "interval_levels", recording)
+    return tables
 
 
 class TestRecurrence:
@@ -62,13 +74,13 @@ class TestSeriesAgreement:
 
 
 class TestLadderCount:
-    def test_recurrence_skips_the_dropped_level(self):
+    def test_recurrence_skips_the_dropped_level(self, monkeypatch):
         # conventional count n needs ladder depths 0..n-2 only
+        tables = record_interval_tables(monkeypatch)
         for n in (2, 5, 9):
-            clear_interval_memo()
             seq_by_recurrence("intervals", n)
-            assert max(d for _, d in interval_memo_keys()) == n - 2
-        clear_interval_memo()
+        assert [order for order, _ in tables] == [0, 3, 7]
+        assert [len(rows) for _, rows in tables] == [1, 4, 8]
 
     def test_short_counts(self):
         for name in SEQUENCE_NAMES:
@@ -198,13 +210,21 @@ class TestIntervalFamily:
         with pytest.raises(SequenceError):
             interval_family(1, -1)
 
-    def test_demand_bound(self):
-        clear_interval_memo()
+    def test_demand_bound(self, monkeypatch):
+        tables = record_interval_tables(monkeypatch)
         d = 7
         interval_family(1, d)
-        for k, dprime in interval_memo_keys():
-            assert k <= 1 << (d - dprime), (k, dprime)
-        clear_interval_memo()
+        [(order, rows)] = tables
+        assert order == d
+        assert [len(row) for row in rows] == [1 << (d - dprime)
+                                              for dprime in range(d + 1)]
+
+    def test_matches_the_recursive_rule(self):
+        memo = {}
+        for d in range(9):
+            for k in range(1, (1 << (8 - d)) + 1):
+                assert interval_family(k, d) == \
+                    interval_family_recursive(k, d, memo), (k, d)
 
 
 class TestOracleMethod:
@@ -306,3 +326,4 @@ class TestCrosscheck:
         assert any("golden prefix" in label for label in labels)
         assert any("oracle ladder d=4" in label for label in labels)
         assert any("census degree 10" in label for label in labels)
+        assert any("upset-size moments" in label for label in labels)

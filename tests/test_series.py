@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mockingbird.sequences import GOLDEN_PREFIXES
 from mockingbird.series import (
     SeriesError,
+    _upset_size_distributions,
     polynomial,
     solve_equation,
     solve_interval_family,
@@ -13,6 +15,7 @@ from tests_util import (
     WholeSeries,
     constant,
     hadamard,
+    interval_family_recursive,
     max_product,
     one,
     series_arith,
@@ -196,15 +199,20 @@ class TestResiduals:
         assert rhs == f
 
     def test_interval_family_matches_recurrence(self):
-        from mockingbird.sequences import interval_family
-
         order = 8
         family = solve_interval_family(order)
         assert sorted(family) == list(range(1, (1 << order) + 1))
+        memo = {}
         for k, series in family.items():
             for d, c in enumerate(series.coefficients):
                 demanded = d == 0 or k <= 1 << (order - d)
-                assert c == (interval_family(k, d) if demanded else 0), (k, d)
+                want = interval_family_recursive(k, d, memo) if demanded else 0
+                assert c == want, (k, d)
+
+    def test_upset_size_moments_are_the_golden_prefix(self):
+        moments = [sum(m * v for v, m in dist.items())
+                   for dist in _upset_size_distributions(6)]
+        assert moments == GOLDEN_PREFIXES["intervals"][1:]
 
     def test_interval_family_residual(self):
         from math import comb

@@ -1,10 +1,11 @@
 """Shared helpers for the test suite, and reference implementations that
 the library's code is compared against: the recursive term parser, the
 forest step on nested tuples, the term step by redex paths, the recursive
-fr, the combinators of a degree built as terms, and the whole-series
-operators on truncated series."""
+fr, the combinators of a degree built as terms, the whole-series
+operators on truncated series, and the recursive catalytic interval rule."""
 
 from dataclasses import dataclass
+from math import comb
 
 from mockingbird import sequences
 from mockingbird.forests import BLACK, EMPTY, WHITE
@@ -354,3 +355,23 @@ def substitute_z2(a: WholeSeries) -> WholeSeries:
             break
         out[2 * i] = c
     return WholeSeries(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# The catalytic interval rule by recursion
+
+
+def interval_family_recursive(k, d, memo):
+    """a_k(0) = 1 and a_k(d) = a_k(d-1)^2 + sum over i in [0..k] of
+    C(k,i) a_{k+i}(d-1), recursively, memoised in ``memo`` (a dict the
+    caller owns): the reference for the level loop of
+    ``series.interval_levels``."""
+    if (k, d) not in memo:
+        if d == 0:
+            memo[k, d] = 1
+        else:
+            prev = interval_family_recursive(k, d - 1, memo)
+            memo[k, d] = prev * prev + sum(
+                comb(k, i) * interval_family_recursive(k + i, d - 1, memo)
+                for i in range(k + 1))
+    return memo[k, d]
