@@ -25,29 +25,38 @@ from .terms import Term, TermError, parse_term, render_term
 
 
 def export_graph(g: ExploredPoset, format: str = "json",
-                 hasse_only: bool = False, label=None) -> str:
-    """Serialize an explored poset as DOT or JSON; hasse_only drops
-    self-loops and transitive edges (requires prior analysis)."""
+                 hasse_only: bool = False) -> str:
+    """Serialize an explored poset of terms as DOT or JSON, each node
+    labelled by render_term; hasse_only drops self-loops and transitive
+    edges (requires prior analysis)."""
     if not g.is_complete:
         raise IncompleteExplorationError("cannot export an incomplete graph")
-    if label is None:
-        label = str
     if hasse_only:
         if g.hasse_edges is None:
             raise IncompleteExplorationError("hasse export requires analysis")
         edges = sorted(g.hasse_edges)
     else:
         edges = sorted(g.step_edges)
+    labels = [render_term(node) for node in g.nodes]
     if format == "json":
-        payload = g.to_json_dict(label)
-        if hasse_only:
-            payload["step_edges"] = []
-            payload["hasse_edges"] = edges
+        payload = {
+            "nodes": labels,
+            "step_edges": [] if hasse_only else edges,
+            "hasse_edges": None if g.hasse_edges is None else sorted(g.hasse_edges),
+            "flags": {
+                "is_complete": g.is_complete,
+                "is_acyclic": g.is_acyclic,
+                "is_lattice": g.is_lattice,
+            },
+        }
+        if g.analyzed:
+            payload["minimal"] = sorted(g.minimal)
+            payload["maximal"] = sorted(g.maximal)
         return json.dumps(payload, indent=2, sort_keys=True)
     if format == "dot":
         lines = ["digraph explored {"]
-        for i, node in enumerate(g.nodes):
-            lines.append(f'  n{i} [label="{label(node)}"];')
+        for i, label in enumerate(labels):
+            lines.append(f'  n{i} [label="{label}"];')
         for i, j in edges:
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
@@ -89,8 +98,7 @@ def _cmd_graph(args) -> int:
     elif args.hasse:
         print("error: budget exhausted, no Hasse diagram", file=sys.stderr)
         return 2
-    print(export_graph(g, format=args.format, hasse_only=args.hasse,
-                       label=render_term))
+    print(export_graph(g, format=args.format, hasse_only=args.hasse))
     return 0
 
 
@@ -112,8 +120,10 @@ def _cmd_check(args) -> int:
         failed = True
     for name, flag in sorted(rewrite.is_hierarchical(system).items()):
         rows.append((f"hierarchical[{name}]", str(flag)))
+    # a walk from a successor stays inside the explored upset, so on a
+    # complete exploration this budget never cuts a walk short
     probe = rewrite.local_confluence_probe(system, term,
-                                           join_budget=args.join_budget)
+                                           join_budget=len(g.nodes))
     rows.append(("confluence pairs", str(probe.pairs_checked)))
     rows.append(("confluence joinable", str(probe.all_joinable)))
     if probe.failures or probe.inconclusive:
@@ -141,7 +151,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    counts = oracle.oracle_poset_counts(args.d, with_intervals=args.intervals)
+    counts = oracle.oracle_poset_counts(args.d)
     payload = {
         "d": counts.d,
         "elements": str(counts.elements),
@@ -192,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("term")
         p.add_argument("--system", default="builtin:M",
                        help="builtin:NAME or a system file path")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("reduce", help="print a rewrite chain to a normal form")
     add_system_args(p)
@@ -201,6 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="explore and export a component")
     add_system_args(p)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=("dot", "json"), default="json")
     p.add_argument("--hasse", action="store_true",
                    help="export covering edges only (drops self-loops)")
@@ -208,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="poset/lattice/confluence verdict table")
     add_system_args(p)
-    p.add_argument("--join-budget", type=int, default=100_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("fr", help="forest translation of a Mockingbird term")
@@ -227,7 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="explicit ladder-upset counts")
     p.add_argument("d", type=int)
-    p.add_argument("--no-intervals", dest="intervals", action="store_false")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("crosscheck", help="all-methods consistency check")

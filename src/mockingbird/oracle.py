@@ -20,7 +20,7 @@ from .forests import (
     ladder,
     meet,
 )
-from .posets import DEFAULT_BUDGET, ExploredPoset, down_sets, poset_analysis
+from .posets import ExploredPoset, down_sets, poset_analysis
 from .terms import Term, basic
 
 
@@ -42,39 +42,32 @@ MAX_STREAM_D = 5        # element/step-edge counting by streaming over keys
 MAX_CENSUS_DEGREE = 10  # extremal census over all combinators of a degree
 
 
-def oracle_poset_counts(d: int, with_intervals: bool = True,
-                        budget: int = DEFAULT_BUDGET) -> OracleCounts:
+def oracle_poset_counts(d: int) -> OracleCounts:
     """Counts for the upset of the d-ladder by explicit construction.
 
     For d <= 4 the whole poset is built: hasse_edges is the exact
-    transitive reduction and cover_equals_step compares it against the
-    single-step relation.  d = 5 (3.26M elements) streams over compact
-    string keys, counting elements and single-step edges; there
-    hasse_edges reports the step-edge count (covering equals single step
-    on every exactly checked instance) and cover_equals_step is None.
-    Interval counting is limited to d <= 4.
+    transitive reduction, cover_equals_step compares it against the
+    single-step relation, and intervals sums the up-set sizes.  d = 5
+    (3.26M elements) streams over compact string keys, counting elements
+    and single-step edges; there hasse_edges reports the step-edge count
+    (covering equals single step on every exactly checked instance), and
+    intervals and cover_equals_step are None.
     """
     if d < 0:
         raise OracleError("ladder index must be >= 0")
     if d > MAX_STREAM_D:
         raise OracleError(f"d = {d} is infeasible for explicit construction")
     if d > MAX_EXACT_D:
-        if with_intervals:
-            raise OracleError(f"interval counting is infeasible for d = {d}")
         elements, step_edges = _ladder_stream_counts(d)
         return OracleCounts(d=d, elements=elements, hasse_edges=step_edges,
                             intervals=None, cover_equals_step=None)
 
-    g = forest_upset(ladder(d), budget=budget)
-    poset_analysis(g, check_lattice=False)
-    intervals = None
-    if with_intervals:
-        intervals = sum(r.bit_count() for r in g.reach)
+    g = _analyzed_upset(ladder(d))
     return OracleCounts(
         d=d,
         elements=len(g.nodes),
         hasse_edges=len(g.hasse_edges),
-        intervals=intervals,
+        intervals=sum(r.bit_count() for r in g.reach),
         cover_equals_step=g.hasse_edges == g.nonloop_edges(),
     )
 
@@ -97,16 +90,15 @@ def _ladder_stream_counts(d: int) -> tuple[int, int]:
     return len(seen), edges
 
 
-def _analyzed_upset(f: DupForest, budget: int) -> ExploredPoset:
-    g = forest_upset(f, budget=budget)
-    return poset_analysis(g, check_lattice=False)
+def _analyzed_upset(f: DupForest) -> ExploredPoset:
+    return poset_analysis(forest_upset(f), check_lattice=False)
 
 
-def oracle_ni(f: DupForest, budget: int = DEFAULT_BUDGET) -> dict[DupForest, int]:
+def oracle_ni(f: DupForest) -> dict[DupForest, int]:
     """In-degree of every element of the upset of f under the single-step
     relation: the number of forests each element covers.  Zero entries are
     omitted."""
-    g = _analyzed_upset(f, budget)
+    g = _analyzed_upset(f)
     counts: dict[DupForest, int] = {}
     for i, j in g.nonloop_edges():
         target = g.nodes[j]
@@ -114,22 +106,21 @@ def oracle_ni(f: DupForest, budget: int = DEFAULT_BUDGET) -> dict[DupForest, int
     return counts
 
 
-def oracle_ns(f: DupForest, budget: int = DEFAULT_BUDGET) -> dict[DupForest, int]:
+def oracle_ns(f: DupForest) -> dict[DupForest, int]:
     """Down-set size of every element within the upset of f: the number of
     elements g with f <= g <= f'."""
-    g = _analyzed_upset(f, budget)
+    g = _analyzed_upset(f)
     down = down_sets(g)
     return {g.nodes[j]: down[j].bit_count() for j in range(len(g.nodes))}
 
 
-def oracle_md_k(f: DupForest, k: int,
-                budget: int = DEFAULT_BUDGET) -> dict[DupForest, int]:
+def oracle_md_k(f: DupForest, k: int) -> dict[DupForest, int]:
     """For every element f' of the upset of f, the number of k-tuples of
     elements of the upset of f' whose iterated meet equals f'.  Exhaustive
     over |upset|^k tuples: tiny instances only."""
     if k < 1:
         raise OracleError("k must be >= 1")
-    g = _analyzed_upset(f, budget)
+    g = _analyzed_upset(f)
     n = len(g.nodes)
     out: dict[DupForest, int] = {}
     for i in range(n):

@@ -55,29 +55,11 @@ class ExploredPoset:
     def self_loops(self) -> set[tuple[int, int]]:
         return {(i, j) for (i, j) in self.step_edges if i == j}
 
-    def to_json_dict(self, label: Callable[[Any], str]) -> dict:
-        flags = {
-            "is_complete": self.is_complete,
-            "is_acyclic": self.is_acyclic,
-            "is_lattice": self.is_lattice,
-        }
-        out = {
-            "nodes": [label(n) for n in self.nodes],
-            "step_edges": sorted(self.step_edges),
-            "hasse_edges": sorted(self.hasse_edges) if self.hasse_edges is not None else None,
-            "flags": flags,
-        }
-        if self.minimal is not None:
-            out["minimal"] = sorted(self.minimal)
-        if self.maximal is not None:
-            out["maximal"] = sorted(self.maximal)
-        return out
-
 
 def explore(start: Hashable,
             successors: Callable[[Any], Iterable],
+            sort_key: Callable[[Any], Any],
             budget: int = DEFAULT_BUDGET,
-            sort_key: Callable[[Any], Any] = None,
             predecessors: Callable[[Any], Iterable] = None) -> ExploredPoset:
     """Deduplicated breadth-first closure of ``successors`` from ``start``.
 
@@ -91,8 +73,6 @@ def explore(start: Hashable,
     """
     if budget < 1:
         raise ExplorationError("budget must be >= 1")
-    if sort_key is None:
-        sort_key = repr
 
     index: dict[Hashable, int] = {start: 0}
     nodes: list = [start]

@@ -246,8 +246,7 @@ def seq_by_oracle(name: str, count: int,
     ladder_values: list[int] = []
     if name in _POSET_SEQUENCES:
         for d in range(ladder_count):
-            with_intervals = name == "intervals"
-            counts = oracle_poset_counts(d, with_intervals=with_intervals)
+            counts = oracle_poset_counts(d)
             ladder_values.append({
                 "sizes": counts.elements,
                 "edges": counts.hasse_edges,
@@ -376,7 +375,7 @@ def crosscheck_all(max_d: int = 12, gated: bool = False) -> CrosscheckReport:
     rec_edges = seq_by_recurrence("edges", 6, indexing="ladder").values
     rec_intervals = seq_by_recurrence("intervals", 7, indexing="ladder").values
     for d in range(5):
-        counts = oracle_poset_counts(d, with_intervals=True)
+        counts = oracle_poset_counts(d)
         ok = (counts.elements == rec_sizes[d]
               and counts.hasse_edges == rec_edges[d]
               and counts.intervals == rec_intervals[d]
@@ -385,7 +384,7 @@ def crosscheck_all(max_d: int = 12, gated: bool = False) -> CrosscheckReport:
             f"oracle ladder d={d}: elements/edges/intervals", ok,
             f"({counts.elements}, {counts.hasse_edges}, {counts.intervals})")
     if gated:
-        counts = oracle_poset_counts(5, with_intervals=False)
+        counts = oracle_poset_counts(5)
         ok = (counts.elements == rec_sizes[5]
               and counts.hasse_edges == rec_edges[5])
         report.record(

@@ -63,7 +63,7 @@ def test_criterion_3_oracle_ground_truth():
 @pytest.mark.skipif(not GATED, reason="set MOCKINGBIRD_RUN_GATED to run")
 def test_criterion_3b_oracle_depth_5_gated():
     start = time.monotonic()
-    counts = oracle.oracle_poset_counts(5, with_intervals=False)
+    counts = oracle.oracle_poset_counts(5)
     elapsed = time.monotonic() - start
     assert (counts.elements, counts.hasse_edges) == (3263442, 29942737)
     assert elapsed < 600.0

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 import mockingbird
+from mockingbird import oracle, rewrite
 from mockingbird.cli import export_graph, main
 from mockingbird.posets import IncompleteExplorationError, poset_analysis
 from mockingbird.rewrite import explore_component, load_system
-from mockingbird.terms import parse_term, render_term
+from mockingbird.terms import parse_term
 from tests_util import forbid_sequence_solvers
 
 SYS_M = load_system("builtin:M")
@@ -116,18 +117,39 @@ class TestReduceCheckFr:
         assert rows["confluence joinable"] == "True"
 
     def test_check_verdict_independent_of_hash_seed(self):
-        # join budget 10 truncates the probe's upset walks, so the verdict
-        # rests on which nodes the walk keeps, i.e. on term-set order
+        # budget 10 truncates the exploration, and the probe's upset walks
+        # inherit that cap, so the verdict rests on which nodes a walk
+        # keeps, i.e. on term-set order
         src = str(Path(mockingbird.__file__).resolve().parents[1])
         runs = []
         for seed in ("1", "4"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
             proc = subprocess.run(
                 [sys.executable, "-m", "mockingbird.cli", "check",
-                 "--join-budget", "10", "M(M(M(MM)))"],
+                 "--budget", "10", "M(M(M(MM)))"],
                 env=env, capture_output=True, text=True, timeout=120)
-            runs.append((proc.returncode, proc.stdout))
+            assert proc.returncode == 1
+            assert "confluence joinable  False" in proc.stdout
+            runs.append(proc.stdout)
         assert runs[0] == runs[1]
+
+    def test_check_probe_budget_is_exploration_size(self, capsys,
+                                                    monkeypatch):
+        budgets = []
+        probe = rewrite.local_confluence_probe
+
+        def recording_probe(system, t, join_budget):
+            budgets.append(join_budget)
+            return probe(system, t, join_budget)
+
+        monkeypatch.setattr(rewrite, "local_confluence_probe",
+                            recording_probe)
+        _, out, _ = run(capsys, "check", "M(M(M(MM)))")
+        rows = dict(line.rsplit(maxsplit=1) for line in out.splitlines())
+        assert rows["complete"] == "True"
+        assert budgets == [int(rows["nodes"])] == [42]
+        run(capsys, "check", "--budget", "10", "M(M(M(MM)))")
+        assert budgets[1:] == [10]
 
     def test_check_ks(self, capsys):
         code, out, _ = run(capsys, "check", "S(KKS)K(SS)", "--system",
@@ -146,10 +168,17 @@ class TestOracleCommand:
         assert payload["intervals"] == "371"
         assert payload["cover_equals_step"] is True
 
-    def test_no_intervals(self, capsys):
-        code, out, _ = run(capsys, "oracle", "2", "--no-intervals")
-        payload = json.loads(out)
-        assert payload["intervals"] is None
+    def test_no_intervals(self, capsys, monkeypatch):
+        # d = 5 streams its counts and has no intervals; a stub stands in
+        # for the minutes-long stream
+        monkeypatch.setattr(oracle, "_ladder_stream_counts",
+                            lambda d: (3263442, 29942737))
+        counts = oracle.oracle_poset_counts(5)
+        assert counts.intervals is None
+        assert counts.cover_equals_step is None
+        code, out, _ = run(capsys, "oracle", "5")
+        assert code == 0
+        assert '"intervals": null' in out
 
 
 class TestCrosscheckCompare:
@@ -268,6 +297,6 @@ class TestExportGraph:
     def test_singleton_dot(self):
         g = explore_component(SYS_M, parse_term("M", {"M"}), "up")
         poset_analysis(g)
-        text = export_graph(g, "dot", hasse_only=True, label=render_term)
+        text = export_graph(g, "dot", hasse_only=True)
         assert text.count("->") == 0
         assert 'label="M"' in text

@@ -45,9 +45,7 @@ class TestPosetCounts:
 
     def test_infeasible_d(self):
         with pytest.raises(OracleError):
-            oracle_poset_counts(6, with_intervals=False)
-        with pytest.raises(OracleError):
-            oracle_poset_counts(5, with_intervals=True)
+            oracle_poset_counts(6)
 
 
 class TestCoverEqualsStep:
