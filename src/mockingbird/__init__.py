@@ -1,10 +1,9 @@
 """Mockingbird combinatory-logic rewriting and lattice enumeration.
 
 Modules:
-    terms      binary application terms: parsing, printing, substitution,
-               nonlinear factor matching
-    rewrite    combinatory logic systems, one-step rewriting, component
-               exploration, hierarchy/confluence/extremal analysis
+    terms      binary application terms: parsing and printing
+    rewrite    combinatory logic systems, one-step rewriting on prefix keys,
+               component exploration, hierarchy/confluence/extremal analysis
     posets     explored digraphs and order analysis (Hasse, lattice checks)
     forests    duplicative forests, the duplication step, meet/join
     bridge     the term-to-forest translation and isomorphism verification

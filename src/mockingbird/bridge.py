@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .forests import BLACK, WHITE, DupForest, key_successors, parse_forest
 from .posets import DEFAULT_BUDGET, ExplorationError
@@ -53,20 +53,18 @@ class IsoReport:
 
 
 # ---------------------------------------------------------------------------
-# Terms over {M} as prefix strings
+# Terms as prefix strings
 #
-# "." is an application, "M" the combinator, and each variable one token
-# drawn from a per-term table.  The string of an application is "." followed
-# by the strings of its left and right subterms, so a subterm is a substring.
+# "." is an application and each leaf one token from a table, so the string
+# of an application is "." followed by the strings of its two sides and a
+# subterm is a substring.  Over {M} (encode_term), M is "M".
 
 _VARIABLE_TOKENS = 0x100  # first code point handed out to variables
 
 
-def encode_term(t: Term) -> tuple[str, dict[str, Term]]:
-    """Prefix key of a term over {M}, and the table from token to leaf that
-    decodes it."""
-    leaves: dict[str, Term] = {"M": _M}
-    tokens: dict[Term, str] = {_M: "M"}
+def term_key(t: Term, tokens: Mapping[Term, str]) -> str:
+    """Prefix key of t, with tokens[leaf] for each leaf; a leaf missing
+    from the table raises KeyError."""
     out: list[str] = []
     stack = [t]
     while stack:
@@ -75,19 +73,34 @@ def encode_term(t: Term) -> tuple[str, dict[str, Term]]:
             out.append(".")
             stack.append(u.right)
             stack.append(u.left)
-            continue
-        token = tokens.get(u)
-        if token is None:
-            if isinstance(u, Basic):
-                raise TermError(f"foreign combinator {u.name} (alphabet is {{M}})")
-            token = tokens[u] = chr(_VARIABLE_TOKENS + len(leaves))
-            leaves[token] = u
-        out.append(token)
-    return "".join(out), leaves
+        else:
+            out.append(tokens[u])
+    return "".join(out)
+
+
+class _VariableTokens(dict):
+    """Leaf-to-token table over {M} that gives a new variable the next token."""
+
+    def __missing__(self, u: Term) -> str:
+        if isinstance(u, Basic):
+            raise TermError(f"foreign combinator {u.name} (alphabet is {{M}})")
+        token = self[u] = chr(_VARIABLE_TOKENS + len(self))
+        return token
+
+
+def encode_term(t: Term) -> tuple[str, dict[str, Term]]:
+    """Prefix key of a term over {M}, and the table from token to leaf that
+    decodes it."""
+    try:  # a plain table first: most terms have no variables
+        return term_key(t, {_M: "M"}), {"M": _M}
+    except KeyError:
+        pass
+    tokens = _VariableTokens({_M: "M"})
+    return term_key(t, tokens), {token: u for u, token in tokens.items()}
 
 
 def decode_term(key: str, leaves: dict[str, Term]) -> Term:
-    """The term of a prefix key made by encode_term with the same table."""
+    """The term of a prefix key, given the table from token to leaf."""
     stack: list[Term] = []
     for token in reversed(key):
         if token == ".":

@@ -2,7 +2,9 @@
 translation, sequence enumeration, oracle counts, and cross-checks.
 
 Exit codes: 0 success, 1 property failure or comparison mismatch, 2 usage
-or input error.  Machine-readable output goes to standard output only.
+or input error, 141 when the reader of standard output has left (as for a
+writer killed by SIGPIPE).  Machine-readable output goes to standard
+output only.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from typing import Optional
 
 from . import bridge, oracle, rewrite, sequences
@@ -71,21 +74,18 @@ def _parse_with_system(args) -> tuple[rewrite.CLSystem, Term]:
             sys_text = handle.read()
     system = rewrite.load_system(sys_text)
     term = parse_term(args.term, system.alphabet)
+    # the rewrite step has no depth limit, but the term printer recurses
+    if term.height >= sys.getrecursionlimit():
+        raise TermError("term nested too deeply")
     return system, term
 
 
 def _cmd_reduce(args) -> int:
     system, term = _parse_with_system(args)
-    print(render_term(term))
-    for _ in range(args.max_steps):
-        successors = sorted(
-            rewrite.step_successors(system, term) - {term},
-            key=lambda t: render_term(t, "full"))
-        if not successors:
-            break
-        term = successors[0]
+    chain = rewrite.reduction_chain(system, term)
+    for steps, term in enumerate(islice(chain, max(args.max_steps, 0) + 1)):
         print(render_term(term))
-    else:
+    if steps >= args.max_steps:
         print("... step limit reached", file=sys.stderr)
     return 0
 
@@ -263,13 +263,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early (head, grep -q): not an input error; what
+        # is still buffered goes to the null device at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports such a writer
     except (TermError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the term step and the term printer recurse over the term depth;
-        # the parser, fr and the forest printer do not
+        # the term printer and the forest meet and join recurse; graph,
+        # check and reduce refuse a term as high as the recursion limit
         print("error: term nested too deeply", file=sys.stderr)
         return 2
 

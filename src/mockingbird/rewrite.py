@@ -1,30 +1,22 @@
-"""Combinatory logic systems and one-step rewriting under context closure."""
+"""Combinatory logic systems and one-step rewriting under context closure.
+
+The step, its inverse, the walks and the reduction chain run on prefix keys
+(bridge.term_key), with no recursion over the term; each term handed back
+is decoded once.  Keys sort as fully parenthesized terms, so node order is
+the same in every process, and walks follow the order of the redexes.
+"""
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
-from typing import AbstractSet, Mapping, Optional
+from typing import AbstractSet, Callable, Iterator, Mapping
 
-from .bridge import encode_term, key_extremal_flags
+from .bridge import decode_term, encode_term, key_extremal_flags, term_key
 from .posets import DEFAULT_BUDGET, ExploredPoset, explore
-from .terms import (
-    Application,
-    Basic,
-    Term,
-    TermError,
-    Variable,
-    app,
-    basic,
-    compose,
-    contains_basic,
-    match_pattern,
-    parse_term,
-    render_term,
-    replace_at,
-    subterms_preorder,
-    variable_indices,
-)
+from .terms import (Term, TermError, Variable, basic, contains_basic, parse_term,
+                    subterms_preorder, var, variable_indices)
 
 
 class SystemError_(TermError):
@@ -44,9 +36,6 @@ class CLSystem:
     @property
     def alphabet(self) -> frozenset[str]:
         return frozenset(self.rules)
-
-    def rule_of(self, name: str) -> Rule:
-        return self.rules[name]
 
 
 BUILTIN_SOURCES = {
@@ -105,77 +94,116 @@ def load_system(text: str) -> CLSystem:
     return CLSystem(rules=rules)
 
 
-def _spine(t: Term) -> tuple[Term, list[Term]]:
-    """Decompose t as head applied to a list of arguments (left spine)."""
-    args: list[Term] = []
-    while isinstance(t, Application):
-        args.append(t.right)
-        t = t.left
-    args.reverse()
-    return t, args
+# ---------------------------------------------------------------------------
+# The rewrite step on prefix keys (bridge.term_key)
+
+_FIRST_TOKEN = ord("A")  # the token of the leaf whose name sorts first
 
 
-def _successor_list(sys: CLSystem, t: Term) -> list[Term]:
-    if not isinstance(t, Application):
-        return []
-    out: list[Term] = []
-    head, args = _spine(t)
-    if isinstance(head, Basic):
-        rule = sys.rules.get(head.name)
-        if rule is None:
-            raise SystemError_(f"no rule for combinator {head.name}")
-        # the redex rooted exactly here consumes all spine arguments
-        if rule.order == len(args):
-            out.append(compose(rule.rhs, args))
-    for left2 in _successor_list(sys, t.left):
-        out.append(app(left2, t.right))
-    for right2 in _successor_list(sys, t.right):
-        out.append(app(t.left, right2))
-    return out
+def _subterm_ends(key: str) -> list[int]:
+    """end[i] is where the subterm that starts at position i ends."""
+    end = list(range(1, len(key) + 1))
+    for i in range(len(key) - 2, -1, -1):
+        if key[i] == ".":
+            end[i] = end[end[i + 1]]
+    return end
+
+
+class _KeyRules:
+    """A system compiled for the prefix keys of one term, ``start``, and of
+    every term it rewrites to or from.
+
+    Each leaf gets a token in the order of its printed name, so keys sort
+    as the fully parenthesized terms do: "." before every token, as "("
+    before every name.  A redex of a combinator C of order n reads "." * n
+    + C followed by its n arguments; its contractum is the rule's
+    right-hand side as a format template over them."""
+
+    def __init__(self, sys: CLSystem, t: Term):
+        leaves = sorted([basic(name) for name in sys.rules] +
+                        [var(i) for i in variable_indices(t)], key=str)
+        self.leaves = {chr(_FIRST_TOKEN + i): u for i, u in enumerate(leaves)}
+        self.tokens = {u: token for token, u in self.leaves.items()}
+        self.rules = {}  # head token: order, template, template as pattern
+        self.erasing = None  # a rule whose rhs omits a variable
+        for name, rule in sys.rules.items():
+            if variable_indices(rule.rhs) != set(range(1, rule.order + 1)):
+                self.erasing = self.erasing or name
+            rhs = term_key(rule.rhs, {var(i): "{%d}" % (i - 1)
+                                      for i in range(1, rule.order + 1)})
+            pattern = [int(c) if c.isdigit() else c
+                       for c in re.findall(r"\.|\d+", rhs)]
+            self.rules[self.tokens[basic(name)]] = rule.order, rhs, pattern
+        self.redex = re.compile("|".join(
+            re.escape("." * n + head) for head, (n, _, _) in self.rules.items()))
+        try:
+            self.start = term_key(t, self.tokens)
+        except KeyError as exc:
+            raise SystemError_(f"no rule for combinator {exc.args[0]}") from None
+
+    def decode(self, key: str) -> Term:
+        return decode_term(key, self.leaves)
+
+    def successors(self, key: str) -> list[str]:
+        """Keys one step from key, in the order of the redexes (self-loops
+        kept)."""
+        out = []
+        end = _subterm_ends(key)
+        for match in self.redex.finditer(key):
+            n, rhs, _ = self.rules[key[match.end() - 1]]
+            args, pos = [], match.end()
+            for _ in range(n):
+                args.append(key[pos:end[pos]])
+                pos = end[pos]
+            out.append(f"{key[:match.start()]}{rhs.format(*args)}{key[pos:]}")
+        return out
+
+    def predecessors(self, key: str) -> list[str]:
+        """Keys one step to key: each subterm that matches a right-hand
+        side, with a repeated variable binding equal subterms, becomes its
+        redex."""
+        if self.erasing is not None:
+            raise SystemError_(f"predecessors are infinite: rhs of "
+                               f"{self.erasing} omits a variable")
+        out = []
+        end = _subterm_ends(key)
+        for i in range(len(key)):
+            for head, (n, _, pattern) in self.rules.items():
+                args, pos = [""] * n, i
+                for item in pattern:
+                    if item == ".":
+                        if key[pos] != ".":
+                            break
+                        pos += 1
+                    elif args[item] in ("", key[pos:end[pos]]):
+                        args[item] = key[pos:end[pos]]
+                        pos = end[pos]
+                    else:
+                        break
+                else:
+                    out.append(f"{key[:i]}{'.' * n}{head}{''.join(args)}{key[pos:]}")
+        return out
 
 
 def step_successors(sys: CLSystem, t: Term) -> set[Term]:
     """All one-step rewrites of t under context closure (self-loops kept)."""
-    return set(_successor_list(sys, t))
-
-
-def _invertible(sys: CLSystem) -> Optional[str]:
-    for name, rule in sys.rules.items():
-        if variable_indices(rule.rhs) != set(range(1, rule.order + 1)):
-            return name
-    return None
+    rules = _KeyRules(sys, t)
+    return {rules.decode(key) for key in rules.successors(rules.start)}
 
 
 def step_predecessors(sys: CLSystem, t: Term) -> set[Term]:
     """All s with s => t, by matching each rhs against every subterm of t.
-
-    Only defined for systems whose rule right-hand sides mention every
-    variable up to the order; otherwise the predecessor set is infinite.
-    """
-    bad = _invertible(sys)
-    if bad is not None:
-        raise SystemError_(
-            f"predecessors are infinite: rhs of {bad} omits a variable")
-    out: set[Term] = set()
-    for path, u in subterms_preorder(t):
-        for name, rule in sys.rules.items():
-            bindings: dict[int, Term] = {}
-            if match_pattern(rule.rhs, u, bindings):
-                redex: Term = basic(name)
-                for i in range(1, rule.order + 1):
-                    redex = app(redex, bindings[i])
-                out.add(replace_at(t, path, redex))
-    return out
-
-
-def _full_render(t: Term) -> str:
-    return render_term(t, "full")
+    Raises SystemError_ if a rule's rhs omits a variable (infinite sets)."""
+    rules = _KeyRules(sys, t)
+    return {rules.decode(key) for key in rules.predecessors(rules.start)}
 
 
 def explore_component(sys: CLSystem, t: Term, direction: str = "up",
                       budget: int = DEFAULT_BUDGET) -> ExploredPoset:
     """BFS closure from t: ``up`` follows successors only, ``class`` closes
-    under successors and predecessors (the whole equivalence class)."""
+    under successors and predecessors (the whole equivalence class).  The
+    walk runs on prefix keys, and each node is decoded once."""
+    rules = _KeyRules(sys, t)
     if direction == "up":
         predecessors = None
     elif direction == "class":
@@ -183,16 +211,23 @@ def explore_component(sys: CLSystem, t: Term, direction: str = "up",
             warnings.warn(
                 "class exploration of a non-hierarchical system may not "
                 "terminate; relying on the node budget", stacklevel=2)
-        predecessors = lambda u: step_predecessors(sys, u)
+        predecessors = rules.predecessors
     else:
         raise SystemError_(f"invalid direction {direction!r}")
-    return explore(
-        t,
-        lambda u: step_successors(sys, u),
-        budget=budget,
-        sort_key=_full_render,
-        predecessors=predecessors,
-    )
+    g = explore(rules.start, rules.successors, budget=budget,
+                sort_key=str, predecessors=predecessors)
+    g.nodes = [rules.decode(key) for key in g.nodes]
+    return g
+
+
+def reduction_chain(sys: CLSystem, t: Term) -> Iterator[Term]:
+    """t, then each time the least proper successor in the node order of
+    explore_component, until a term has none."""
+    rules = _KeyRules(sys, t)
+    key = rules.start
+    while key is not None:
+        yield rules.decode(key)
+        key = min(set(rules.successors(key)) - {key}, default=None)
 
 
 def is_hierarchical(sys: CLSystem) -> dict[str, bool]:
@@ -201,9 +236,9 @@ def is_hierarchical(sys: CLSystem) -> dict[str, bool]:
     result: dict[str, bool] = {}
     for name, rule in sys.rules.items():
         depths: dict[int, set[int]] = {}
-        for path, u in subterms_preorder(rule.rhs):
+        for depth, u in subterms_preorder(rule.rhs):
             if isinstance(u, Variable):
-                depths.setdefault(u.index, set()).add(len(path))
+                depths.setdefault(u.index, set()).add(depth)
         n = rule.order
         result[name] = all(
             depths.get(i) == {n + 1 - i} for i in range(1, n + 1))
@@ -227,19 +262,20 @@ class ConfluenceReport:
         return not self.failures and not self.inconclusive
 
 
-def _walk_up(sys: CLSystem, t: Term, budget: int,
-             goal: AbstractSet[Term] = frozenset()) -> tuple[set[Term], str]:
-    """Breadth-first walk of the upset of t that keeps at most budget nodes.
+def _walk_up(successors: Callable[[str], list[str]], key: str, budget: int,
+             goal: AbstractSet[str] = frozenset()) -> tuple[set[str], str]:
+    """Breadth-first walk of the upset of a key that keeps at most budget
+    nodes, following successors in redex order.
 
-    Returns the kept nodes and a status: ``found`` as soon as t or a
+    Returns the kept nodes and a status: ``found`` as soon as the key or a
     successor lies in goal, ``truncated`` when a new node would pass the
     budget, else ``complete``."""
-    seen = {t}
-    if t in goal:
+    seen = {key}
+    if key in goal:
         return seen, "found"
-    queue = [t]
+    queue = [key]
     for u in queue:
-        for v in step_successors(sys, u):
+        for v in successors(u):
             if v in goal:
                 return seen, "found"
             if v not in seen:
@@ -254,20 +290,21 @@ def local_confluence_probe(sys: CLSystem, t: Term,
                            join_budget: int = 100_000) -> ConfluenceReport:
     """For every pair of distinct one-step successors of t, search within
     join_budget nodes for a common upper bound."""
-    succs = sorted(step_successors(sys, t) - {t}, key=_full_render)
+    rules = _KeyRules(sys, t)
+    succs = sorted(set(rules.successors(rules.start)) - {rules.start})
     report = ConfluenceReport(term=t, pairs_checked=0, joinable_pairs=0)
     for i, t1 in enumerate(succs[:-1]):
-        up1, status1 = _walk_up(sys, t1, join_budget)
+        up1, status1 = _walk_up(rules.successors, t1, join_budget)
         for t2 in succs[i + 1:]:
             report.pairs_checked += 1
             # walk the upset of t2, stopping at the first meeting point
-            _, status = _walk_up(sys, t2, join_budget, up1)
+            _, status = _walk_up(rules.successors, t2, join_budget, up1)
             if status == "found":
                 report.joinable_pairs += 1
             elif "truncated" in (status, status1):
-                report.inconclusive.append((t1, t2))
+                report.inconclusive.append((rules.decode(t1), rules.decode(t2)))
             else:
-                report.failures.append((t1, t2))
+                report.failures.append((rules.decode(t1), rules.decode(t2)))
     return report
 
 

@@ -166,11 +166,12 @@ _LADDER_RECURRENCES = {
 
 # Largest ladder count of each sequence that each method computes.  It is
 # keyed on the ladder count, so the conventional and the ladder indexing of
-# a sequence share one limit.  Measured on 2 CPUs (Python 3.11): at these
-# limits no recurrence or series request takes over 3 s, except motzkin
-# and min by either method, capped at the largest count measured under
-# 10 s; one index more at least doubles the work of sizes, edges,
-# intervals and classes.  The oracle limits are the oracle's own.
+# a sequence share one limit.  Measured on one 2-CPU host (Python 3.11): at
+# these limits no recurrence or series request takes over 3 s, except
+# motzkin and min by either method, capped at the largest count measured
+# under 10 s; a slower 2-CPU host took 2-2.5 times as long.  One index more
+# at least doubles the work of sizes, edges, intervals and classes.  The
+# oracle limits are the oracle's own.
 LADDER_COUNT_LIMITS = {
     "recurrence": {"sizes": 25, "edges": 25, "intervals": 13,
                    "motzkin": 3200, "min": 3000, "classes": 25},

@@ -10,9 +10,8 @@ is structural with an identity fast path, so interning is an optimization,
 never a correctness requirement.
 
 The parser reads any depth in one pass.  Printing recurses over the term,
-as an iterative printer measured slower.  The extremal factors of
-M-combinators are found on prefix keys (bridge.key_extremal_flags), not by
-a search over terms.
+as an iterative printer measured slower.  Rewriting, substitution and
+pattern matching run on prefix keys (rewrite, bridge), not on terms.
 """
 
 from __future__ import annotations
@@ -190,57 +189,24 @@ def parse_term(text: str, alphabet: Sequence[str] | set[str] | frozenset[str]) -
     return levels[0]
 
 
-def _leaf_str(t: Term) -> str:
-    if isinstance(t, Variable):
-        return f"x{t.index}"
-    assert isinstance(t, Basic)
-    return t.name
+def render_term(t: Term) -> str:
+    """Print a term, without the parentheses that left associativity
+    implies."""
+    parts: list[str] = []
 
+    def emit(u: Term, parenthesize: bool) -> None:
+        if isinstance(u, Application):
+            if parenthesize:
+                parts.append("(")
+            emit(u.left, False)
+            emit(u.right, True)
+            if parenthesize:
+                parts.append(")")
+        else:
+            parts.append(u.name if isinstance(u, Basic) else f"x{u.index}")
 
-def render_term(t: Term, style: str = "concise") -> str:
-    """Print a term; ``concise`` drops parentheses implied by left
-    associativity, ``full`` parenthesizes and spaces every application."""
-    if style == "concise":
-        parts: list[str] = []
-
-        def emit(u: Term, parenthesize: bool) -> None:
-            if isinstance(u, Application):
-                if parenthesize:
-                    parts.append("(")
-                emit(u.left, False)
-                emit(u.right, True)
-                if parenthesize:
-                    parts.append(")")
-            else:
-                parts.append(_leaf_str(u))
-
-        emit(t, False)
-        return "".join(parts)
-    if style == "full":
-        if isinstance(t, Application):
-            return f"({render_term(t.left, 'full')} {render_term(t.right, 'full')})"
-        return _leaf_str(t)
-    raise TermError(f"unknown render style {style!r}")
-
-
-# ---------------------------------------------------------------------------
-# Composition (simultaneous substitution)
-
-
-def compose(t: Term, args: Sequence[Term]) -> Term:
-    """Replace every x_i (i <= len(args)) in t by args[i-1], simultaneously."""
-    if isinstance(t, Variable):
-        if t.index <= len(args):
-            return args[t.index - 1]
-        return t
-    if isinstance(t, Basic):
-        return t
-    assert isinstance(t, Application)
-    left = compose(t.left, args)
-    right = compose(t.right, args)
-    if left is t.left and right is t.right:
-        return t
-    return app(left, right)
+    emit(t, False)
+    return "".join(parts)
 
 
 def variable_indices(t: Term) -> set[int]:
@@ -251,51 +217,13 @@ def contains_basic(t: Term) -> bool:
     return any(isinstance(u, Basic) for _, u in subterms_preorder(t))
 
 
-# ---------------------------------------------------------------------------
-# Nonlinear pattern matching
-
-
-def match_pattern(pattern: Term, subject: Term,
-                  bindings: dict[int, Term]) -> bool:
-    """Match pattern against subject at the root, extending bindings.
-    Repeated pattern variables must bind equal subterms."""
-    if isinstance(pattern, Variable):
-        bound = bindings.get(pattern.index)
-        if bound is None:
-            bindings[pattern.index] = subject
-            return True
-        return bound == subject
-    if isinstance(pattern, Basic):
-        return pattern == subject
-    assert isinstance(pattern, Application)
-    if not isinstance(subject, Application):
-        return False
-    mark = dict(bindings)
-    if match_pattern(pattern.left, subject.left, bindings) and \
-            match_pattern(pattern.right, subject.right, bindings):
-        return True
-    bindings.clear()
-    bindings.update(mark)
-    return False
-
-
-def subterms_preorder(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
-    """Yield (path, subterm) pairs in pre-order; path entries are 0 (left)
-    or 1 (right)."""
-    stack: list[tuple[tuple[int, ...], Term]] = [((), t)]
+def subterms_preorder(t: Term) -> Iterator[tuple[int, Term]]:
+    """Yield (depth, subterm) pairs in pre-order, in time linear in the
+    size of t."""
+    stack: list[tuple[int, Term]] = [(0, t)]
     while stack:
-        path, u = stack.pop()
-        yield path, u
+        depth, u = stack.pop()
+        yield depth, u
         if isinstance(u, Application):
-            stack.append((path + (1,), u.right))
-            stack.append((path + (0,), u.left))
-
-
-def replace_at(t: Term, path: tuple[int, ...], replacement: Term) -> Term:
-    if not path:
-        return replacement
-    if not isinstance(t, Application):
-        raise TermError("path goes below a leaf")
-    if path[0] == 0:
-        return app(replace_at(t.left, path[1:], replacement), t.right)
-    return app(t.left, replace_at(t.right, path[1:], replacement))
+            stack.append((depth + 1, u.right))
+            stack.append((depth + 1, u.left))

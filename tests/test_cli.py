@@ -119,7 +119,7 @@ class TestReduceCheckFr:
     def test_check_verdict_independent_of_hash_seed(self):
         # budget 10 truncates the exploration, and the probe's upset walks
         # inherit that cap, so the verdict rests on which nodes a walk
-        # keeps, i.e. on term-set order
+        # keeps, i.e. on the order in which it follows the redexes
         src = str(Path(mockingbird.__file__).resolve().parents[1])
         runs = []
         for seed in ("1", "4"):
@@ -265,15 +265,21 @@ class TestRunawayCounts:
 
 
 class TestDeepTerms:
-    # the term step and the term printer recurse over these beyond the
-    # interpreter's limit; the parser, fr and the forest printer do not
+    # the term printer recurses over these beyond the interpreter's limit,
+    # so graph, check and reduce refuse them before exploring; the parser,
+    # the rewrite step, fr and the forest printer do not recurse
     LEFT_SPINE = "M" * 5000
     NESTED = "M(" * 3000 + "M" + ")" * 3000
 
     @pytest.mark.parametrize("argv", [
         ("check", LEFT_SPINE),
         ("graph", NESTED),
-    ], ids=["check", "graph"])
+        ("reduce", LEFT_SPINE),
+        ("reduce", NESTED),
+        ("check", NESTED),
+        ("graph", LEFT_SPINE),
+    ], ids=["check", "graph", "reduce-left-spine", "reduce-nested",
+            "check-nested", "graph-left-spine"])
     def test_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -285,6 +291,23 @@ class TestDeepTerms:
         assert code == 0
         assert out == "w(" * 2998 + "w" + ")" * 2998 + "\n"
         assert err == ""
+
+
+def test_closed_output_pipe_exits_141():
+    # the reader is gone before the child writes: a shell reports 141
+    # (128 + SIGPIPE) for such a writer, and nothing goes to stderr
+    src = str(Path(mockingbird.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mockingbird.cli", "oracle", "3"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 class TestExportGraph:

@@ -1,13 +1,15 @@
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mockingbird.bridge import right_comb
+from mockingbird.bridge import right_comb, term_key
 from mockingbird.oracle import all_combinators
 from mockingbird.posets import poset_analysis
 from mockingbird.rewrite import (
     SystemError_,
+    _KeyRules,
     explore_component,
     extremal_by_pattern,
     is_hierarchical,
@@ -16,8 +18,15 @@ from mockingbird.rewrite import (
     step_predecessors,
     step_successors,
 )
-from mockingbird.terms import app, parse_term, render_term
-from tests_util import random_m_term, term_metrics
+from mockingbird.terms import app, basic, parse_term, render_term, var
+from tests_util import (
+    explore_reference,
+    predecessor_set,
+    random_m_term,
+    render_full,
+    successor_list,
+    term_metrics,
+)
 
 SYS_M = load_system("builtin:M")
 SYS_I = load_system("builtin:I")
@@ -31,13 +40,13 @@ def TM(text):
 
 class TestLoadSystem:
     def test_builtin_m(self):
-        rule = SYS_M.rule_of("M")
+        rule = SYS_M.rules["M"]
         assert rule.order == 1
         assert rule.rhs == parse_term("x1x1", frozenset())
 
     def test_builtin_s(self):
         sys_s = load_system("builtin:S")
-        assert sys_s.rule_of("S").rhs == parse_term("x1x3(x2x3)", frozenset())
+        assert sys_s.rules["S"].rhs == parse_term("x1x3(x2x3)", frozenset())
 
     def test_builtin_ks_has_both(self):
         assert SYS_KS.alphabet == {"K", "S"}
@@ -275,3 +284,87 @@ class TestExtremal:
                 pred_min = step_predecessors(SYS_M, t) <= {t}
                 assert flags["maximal"] == succ_max, render_term(t)
                 assert flags["minimal"] == pred_min, render_term(t)
+
+
+# Systems for the comparison with the Term step of tests_util: the builtins,
+# multi-letter names one of which is a prefix of another, and a pair of
+# order-3 rules.  Leaves include x1..x12, so x1 is a prefix of x10.
+REFERENCE_SYSTEMS = {
+    "M": SYS_M,
+    "I": SYS_I,
+    "K": SYS_K,
+    "S": load_system("builtin:S"),
+    "KS": SYS_KS,
+    "AB-A-W": load_system("AB 2 := x2 x1 x1\nA 1 := x1 x1\nW 2 := x1 x2 x2"),
+    "B-C": load_system("B 3 := x1 (x2 x3)\nC 3 := x1 x3 x2"),
+}
+INVERTIBLE = {"M", "I", "S", "AB-A-W", "B-C"}
+
+
+def terms_over(system):
+    leaves = st.one_of(st.sampled_from(sorted(system.alphabet)).map(basic),
+                       st.integers(1, 12).map(var))
+    return st.recursive(
+        leaves, lambda sub: st.tuples(sub, sub).map(lambda lr: app(*lr)),
+        max_leaves=10)
+
+
+@st.composite
+def system_and_term(draw, names=tuple(REFERENCE_SYSTEMS)):
+    name = draw(st.sampled_from(names))
+    system = REFERENCE_SYSTEMS[name]
+    return name, system, draw(terms_over(system))
+
+
+class TestAgainstTermStep:
+    @settings(max_examples=500, deadline=None)
+    @given(system_and_term(), st.data())
+    def test_keys_sort_as_full_rendering(self, case, data):
+        _, system, t = case
+        u = data.draw(terms_over(system))
+        tokens = _KeyRules(system, app(t, u)).tokens
+        assert (term_key(t, tokens) < term_key(u, tokens)) == \
+            (render_full(t) < render_full(u))
+
+    @settings(max_examples=300, deadline=None)
+    @given(system_and_term())
+    def test_step_successors_and_predecessors(self, case):
+        name, system, t = case
+        assert step_successors(system, t) == set(successor_list(system, t))
+        if name in INVERTIBLE:
+            assert step_predecessors(system, t) == predecessor_set(system, t)
+        else:
+            with pytest.raises(SystemError_):
+                step_predecessors(system, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(system_and_term(), st.integers(1, 60))
+    def test_explore_up(self, case, budget):
+        _, system, t = case
+        g = explore_component(system, t, "up", budget=budget)
+        ref = explore_reference(system, t, "up", budget)
+        assert g.nodes == ref.nodes
+        assert g.step_edges == ref.step_edges
+        assert g.is_complete == ref.is_complete
+
+    @settings(max_examples=100, deadline=None)
+    @given(system_and_term(("M", "I", "S")), st.integers(1, 60))
+    def test_explore_class(self, case, budget):
+        _, system, t = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            g = explore_component(system, t, "class", budget=budget)
+        ref = explore_reference(system, t, "class", budget)
+        assert g.nodes == ref.nodes
+        assert g.step_edges == ref.step_edges
+        assert g.is_complete == ref.is_complete
+
+
+def test_deep_left_spine_upset():
+    # nothing in the step recurses: the 5,000-letter left spine ends in
+    # the loop M M, so its upset is the term alone
+    t = TM("M" * 5000)
+    g = explore_component(SYS_M, t, "up")
+    assert g.nodes == [t]
+    assert g.step_edges == {(0, 0)}
+    assert g.is_complete

@@ -8,15 +8,18 @@ from mockingbird.terms import (
     TermParseError,
     app,
     basic,
-    compose,
-    match_pattern,
     parse_term,
     render_term,
-    replace_at,
     subterms_preorder,
     var,
 )
-from tests_util import parse_term_recursive, term_metrics
+from tests_util import (
+    match_pattern,
+    parse_term_recursive,
+    render_full,
+    replace_at,
+    term_metrics,
+)
 
 M = basic("M")
 
@@ -114,13 +117,6 @@ class TestRender:
     def test_concise_right_child(self):
         assert render_term(app(M, app(M, M))) == "M(MM)"
 
-    def test_full(self):
-        assert render_term(app(app(M, M), M), "full") == "((M M) M)"
-
-    def test_bad_style(self):
-        with pytest.raises(TermError):
-            render_term(M, "fancy")
-
 
 def random_term(rng, depth, alphabet=("M",), max_var=3):
     if depth == 0 or rng.random() < 0.3:
@@ -137,8 +133,8 @@ class TestRoundTrip:
         alphabet = ("M", "A", "BC")
         for _ in range(10_000):
             t = random_term(rng, rng.randint(0, 6), alphabet)
-            assert parse_term(render_term(t, "concise"), alphabet) == t
-            assert parse_term(render_term(t, "full"), alphabet) == t
+            assert parse_term(render_term(t), alphabet) == t
+            assert parse_term(render_full(t), alphabet) == t
 
     @settings(max_examples=300, deadline=None)
     @given(st.recursive(
@@ -148,8 +144,8 @@ class TestRoundTrip:
         max_leaves=40))
     def test_roundtrip_multi_digit_variables_and_long_names(self, t):
         alphabet = ("M", "A", "BC", "Def")
-        assert parse_term(render_term(t, "concise"), alphabet) is t
-        assert parse_term(render_term(t, "full"), alphabet) is t
+        assert parse_term(render_term(t), alphabet) is t
+        assert parse_term(render_full(t), alphabet) is t
 
 
 class TestMetrics:
@@ -171,32 +167,6 @@ class TestMetrics:
             t = random_term(rng, rng.randint(0, 6))
             m = term_metrics(t)
             assert m.degree >= m.height
-
-
-class TestCompose:
-    def test_example_with_unused_high_variable(self):
-        t = parse_term("x1(Ax1)(x4x2)", {"A"})
-        result = compose(t, [basic("B"), T("x1x3", frozenset())])
-        assert result == parse_term("B(AB)(x4(x1x3))", {"A", "B"})
-
-    def test_empty_substitution(self):
-        t = T("x1", frozenset())
-        assert compose(t, []) == t
-
-    def test_duplication(self):
-        assert compose(T("x1x1", frozenset()), [T("MM")]) == T("(MM)(MM)")
-
-    def test_identity_substitution(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            t = random_term(rng, 4)
-            assert compose(t, [var(1), var(2), var(3)]) == t
-
-    def test_simultaneous_no_rescan(self):
-        # x1 := x2, x2 := M simultaneously; the substituted x2 must not be
-        # replaced again
-        t = app(var(1), var(2))
-        assert compose(t, [var(2), M]) == app(var(2), M)
 
 
 def has_factor(t, pattern):

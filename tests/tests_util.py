@@ -1,14 +1,17 @@
 """Shared helpers for the test suite, and reference implementations that
 the library's code is compared against: the recursive term parser, the
-forest step on nested tuples, the term step by redex paths, the recursive
-fr, the combinators of a degree built as terms, the whole-series
-operators on truncated series, and the recursive catalytic interval rule."""
+rewrite step on Term objects with its substitution, pattern matching and
+full rendering, the forest step on nested tuples, the M step by redex
+paths, the recursive fr, the combinators of a degree built as terms, the
+whole-series operators on truncated series, and the recursive catalytic
+interval rule."""
 
 from dataclasses import dataclass
 from math import comb
 
 from mockingbird import sequences
 from mockingbird.forests import BLACK, EMPTY, WHITE
+from mockingbird.posets import explore
 from mockingbird.series import SeriesError, TruncSeries
 from mockingbird.terms import (
     Application,
@@ -19,7 +22,6 @@ from mockingbird.terms import (
     Variable,
     app,
     basic,
-    replace_at,
     var,
 )
 
@@ -163,6 +165,123 @@ def parse_term_recursive(text, alphabet):
     if pos != n:
         raise TermParseError("trailing input", pos)
     return result
+
+
+# ---------------------------------------------------------------------------
+# The rewrite step on Term objects, by recursion over the term
+
+
+def render_full(t):
+    """Every application parenthesized and spaced: ``((M M) M)``."""
+    if isinstance(t, Application):
+        return f"({render_full(t.left)} {render_full(t.right)})"
+    return str(t)
+
+
+def compose(t, args):
+    """Replace every x_i (i <= len(args)) in t by args[i-1], simultaneously."""
+    if isinstance(t, Variable):
+        if t.index <= len(args):
+            return args[t.index - 1]
+        return t
+    if isinstance(t, Basic):
+        return t
+    left = compose(t.left, args)
+    right = compose(t.right, args)
+    if left is t.left and right is t.right:
+        return t
+    return app(left, right)
+
+
+def match_pattern(pattern, subject, bindings):
+    """Match pattern against subject at the root, extending bindings.
+    Repeated pattern variables must bind equal subterms."""
+    if isinstance(pattern, Variable):
+        bound = bindings.get(pattern.index)
+        if bound is None:
+            bindings[pattern.index] = subject
+            return True
+        return bound == subject
+    if isinstance(pattern, Basic):
+        return pattern == subject
+    if not isinstance(subject, Application):
+        return False
+    mark = dict(bindings)
+    if match_pattern(pattern.left, subject.left, bindings) and \
+            match_pattern(pattern.right, subject.right, bindings):
+        return True
+    bindings.clear()
+    bindings.update(mark)
+    return False
+
+
+def replace_at(t, path, replacement):
+    if not path:
+        return replacement
+    if not isinstance(t, Application):
+        raise TermError("path goes below a leaf")
+    if path[0] == 0:
+        return app(replace_at(t.left, path[1:], replacement), t.right)
+    return app(t.left, replace_at(t.right, path[1:], replacement))
+
+
+def _spine(t):
+    """Decompose t as head applied to a list of arguments (left spine)."""
+    args = []
+    while isinstance(t, Application):
+        args.append(t.right)
+        t = t.left
+    args.reverse()
+    return t, args
+
+
+def successor_list(system, t):
+    """One-step rewrites of t: the redex at the root, then those in the
+    left and in the right subterm."""
+    if not isinstance(t, Application):
+        return []
+    out = []
+    head, args = _spine(t)
+    if isinstance(head, Basic) and system.rules[head.name].order == len(args):
+        out.append(compose(system.rules[head.name].rhs, args))
+    for left2 in successor_list(system, t.left):
+        out.append(app(left2, t.right))
+    for right2 in successor_list(system, t.right):
+        out.append(app(t.left, right2))
+    return out
+
+
+def subterm_paths(t, path=()):
+    """(path, subterm) pairs in pre-order; path entries are 0 (left) or 1
+    (right)."""
+    yield path, t
+    if isinstance(t, Application):
+        yield from subterm_paths(t.left, path + (0,))
+        yield from subterm_paths(t.right, path + (1,))
+
+
+def predecessor_set(system, t):
+    """All s with s => t, by matching each rhs against every subterm of t
+    (for systems whose right-hand sides mention every variable)."""
+    out = set()
+    for path, u in subterm_paths(t):
+        for name, rule in system.rules.items():
+            bindings = {}
+            if match_pattern(rule.rhs, u, bindings):
+                redex = basic(name)
+                for i in range(1, rule.order + 1):
+                    redex = app(redex, bindings[i])
+                out.add(replace_at(t, path, redex))
+    return out
+
+
+def explore_reference(system, t, direction, budget):
+    """explore_component by the Term step, nodes sorted by render_full."""
+    predecessors = None
+    if direction == "class":
+        predecessors = lambda u: predecessor_set(system, u)
+    return explore(t, lambda u: successor_list(system, u), budget=budget,
+                   sort_key=render_full, predecessors=predecessors)
 
 
 # ---------------------------------------------------------------------------
