@@ -101,11 +101,17 @@ def encode_term(t: Term) -> tuple[str, dict[str, Term]]:
 
 def decode_term(key: str, leaves: dict[str, Term]) -> Term:
     """The term of a prefix key, given the table from token to leaf."""
+    return _decode(key, leaves, {})
+
+
+def _decode(key: str, leaves: dict[str, Term], shared: dict) -> Term:
+    """decode_term through ``shared``, the table from the two sides of each
+    application built so far to it: calls that share it share subterms."""
     stack: list[Term] = []
     for token in reversed(key):
         if token == ".":
-            left = stack.pop()
-            stack.append(app(left, stack.pop()))
+            sides = stack.pop(), stack.pop()
+            stack.append(shared.get(sides) or shared.setdefault(sides, app(*sides)))
         else:
             stack.append(leaves[token])
     (t,) = stack

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
 from typing import Optional
 
 from . import bridge, oracle, rewrite, sequences
@@ -81,12 +80,14 @@ def _parse_with_system(args) -> tuple[rewrite.CLSystem, Term]:
 
 
 def _cmd_reduce(args) -> int:
+    if args.max_steps < 0:
+        raise ValueError(f"--max-steps must be >= 0, got {args.max_steps}")
     system, term = _parse_with_system(args)
-    chain = rewrite.reduction_chain(system, term)
-    for steps, term in enumerate(islice(chain, max(args.max_steps, 0) + 1)):
+    for steps, term in enumerate(rewrite.reduction_chain(system, term)):
+        if steps > args.max_steps:
+            print("... step limit reached", file=sys.stderr)
+            break
         print(render_term(term))
-    if steps >= args.max_steps:
-        print("... step limit reached", file=sys.stderr)
     return 0
 
 
@@ -275,8 +276,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the term printer and the forest meet and join recurse; graph,
-        # check and reduce refuse a term as high as the recursion limit
+        # only the term printer recurses, and graph, check and reduce
+        # refuse a term as high as the recursion limit before printing
         print("error: term nested too deeply", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .bridge import decode_term, key_extremal_flags
+from .bridge import _decode, key_extremal_flags
 from .forests import (
     DupForest,
     compact_key,
@@ -160,9 +160,9 @@ def combinator_keys(degree: int) -> list[str]:
 
 
 def all_combinators(degree: int) -> list[Term]:
-    """The terms of combinator_keys(degree), in its order."""
-    leaves = {"M": basic("M")}
-    return [decode_term(key, leaves) for key in combinator_keys(degree)]
+    """The terms of combinator_keys(degree), in order, sharing subterms."""
+    leaves, shared = {"M": basic("M")}, {}
+    return [_decode(key, leaves, shared) for key in combinator_keys(degree)]
 
 
 def oracle_extremal_census(degree: int) -> dict[str, int]:

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterator, Mapping
 
-from .bridge import decode_term, encode_term, key_extremal_flags, term_key
+from .bridge import _decode, encode_term, key_extremal_flags, term_key
 from .posets import DEFAULT_BUDGET, ExploredPoset, explore
 from .terms import (Term, TermError, Variable, basic, contains_basic, parse_term,
                     subterms_preorder, var, variable_indices)
@@ -124,6 +124,7 @@ class _KeyRules:
                         [var(i) for i in variable_indices(t)], key=str)
         self.leaves = {chr(_FIRST_TOKEN + i): u for i, u in enumerate(leaves)}
         self.tokens = {u: token for token, u in self.leaves.items()}
+        self.shared: dict = {}  # the sides of each decoded application
         self.rules = {}  # head token: order, template, template as pattern
         self.erasing = None  # a rule whose rhs omits a variable
         for name, rule in sys.rules.items():
@@ -142,7 +143,7 @@ class _KeyRules:
             raise SystemError_(f"no rule for combinator {exc.args[0]}") from None
 
     def decode(self, key: str) -> Term:
-        return decode_term(key, self.leaves)
+        return _decode(key, self.leaves, self.shared)
 
     def successors(self, key: str) -> list[str]:
         """Keys one step from key, in the order of the redexes (self-loops

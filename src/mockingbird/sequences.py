@@ -276,9 +276,8 @@ _INTEGER_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 def load_bfile(path: str) -> SequenceTable:
+    """The values of a b-file: one "n a(n)" line each, from n = 0."""
     values: list[int] = []
-    expected: Optional[int] = None
-    first: Optional[int] = None
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -290,14 +289,12 @@ def load_bfile(path: str) -> SequenceTable:
             if not all(_INTEGER_FIELD.fullmatch(part) for part in parts):
                 raise SequenceError(f"{path}:{lineno}: non-integer field")
             n, a = (int(Decimal(part)) for part in parts)  # any length
-            if expected is None:
-                first = expected = n
-            if n != expected:
+            if n != len(values):
+                what = "non-contiguous" if values else "first"
                 raise SequenceError(
-                    f"{path}:{lineno}: non-contiguous index {n} (expected {expected})")
-            expected += 1
+                    f"{path}:{lineno}: {what} index {n} (expected {len(values)})")
             values.append(a)
-    if first is None:
+    if not values:
         raise SequenceError(f"{path}: empty b-file")
     return SequenceTable(name=f"bfile:{path}", values=values,
                          indexing="mockingbird", method="bfile")

@@ -5,9 +5,10 @@ so they can be used as dictionary keys during graph exploration at scale.
 Leaf hashes are built from integers, never from str hashing, so every term
 hash, and with it the iteration order of every term set, is the same in
 every process whatever ``PYTHONHASHSEED`` is.
-Application nodes are hash-consed through the :func:`app` factory; equality
-is structural with an identity fast path, so interning is an optimization,
-never a correctness requirement.
+Leaves are interned for the life of the process; applications are not, so
+a term is freed once dropped.  A walk shares equal subterms through a table
+of its own (bridge._decode).  Equality is structural and runs over a stack
+of pairs, so terms built apart compare at any depth.
 
 The parser reads any depth in one pass.  Printing recurses over the term,
 as an iterative printer measured slower.  Rewriting, substitution and
@@ -85,24 +86,31 @@ class Application(Term):
         self.left = left
         self.right = right
         self.degree = left.degree + right.degree + 1
-        self.height = max(left.height, right.height) + 1
+        # a conditional costs less than a call to max() on this hot path
+        self.height = 1 + (left.height if left.height > right.height else right.height)
         self._hash = hash((left._hash, right._hash))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Application) or other._hash != self._hash:
-            return False
-        return other.left == self.left and other.right == self.right
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            if type(a) is Application:
+                pairs += (a.right, b.right), (a.left, b.left)
+            elif a != b:
+                return False
+        return True
 
 
-# Hash-consing caches, kept for the life of the process.
+# Leaf caches, kept for the life of the process: one entry per name or index.
 _VAR_CACHE: dict[int, Variable] = {}
 _BASIC_CACHE: dict[str, Basic] = {}
-_APP_CACHE: dict[tuple[Term, Term], Application] = {}
 
 
 def var(index: int) -> Variable:
@@ -119,12 +127,7 @@ def basic(name: str) -> Basic:
     return t
 
 
-def app(left: Term, right: Term) -> Application:
-    key = (left, right)
-    t = _APP_CACHE.get(key)
-    if t is None:
-        t = _APP_CACHE[key] = Application(left, right)
-    return t
+app = Application
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ class TestStringKeys:
             t = terms.app(t, TM("M"))
         key, leaves = encode_term(t)
         assert len(key) == 10_001
-        assert decode_term(key, leaves) is t
+        assert decode_term(key, leaves) == t
 
     @pytest.mark.parametrize("variables", [0, 2])
     def test_string_step_matches_rewrite_system(self, variables):
@@ -231,11 +231,16 @@ class TestIsomorphism:
         assert rep.term_count == rep.forest_count == \
             len(explore_component(SYS_M, t, "up").nodes)
 
-    def test_builds_no_terms(self):
+    def test_builds_no_terms(self, monkeypatch):
+        # a count of live terms after the call would miss one built and
+        # dropped inside it
         t = right_comb(5)
-        before = len(terms._APP_CACHE)
+
+        def refuse(*args):
+            raise AssertionError("the transport built a term")
+
+        monkeypatch.setattr(terms.Application, "__init__", refuse)
         assert verify_fr_isomorphism(t).term_count == 1806
-        assert len(terms._APP_CACHE) == before
 
     def test_failed_transport_is_inconclusive(self, monkeypatch):
         # pairing redexes with white nodes in the wrong order breaks the

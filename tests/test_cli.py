@@ -98,6 +98,21 @@ class TestReduceCheckFr:
         assert lines[0] == "M(MM)"
         assert lines[-1] == "MM(MM)"
 
+    @pytest.mark.parametrize("max_steps, lines, err", [
+        ("0", ["M(MM)"], "... step limit reached\n"),
+        ("1", ["M(MM)", "MM(MM)"], ""),
+    ], ids=["cut", "normal-form"])
+    def test_reduce_step_limit_only_before_a_further_term(
+            self, capsys, max_steps, lines, err):
+        code, out, got_err = run(capsys, "reduce", "M(MM)", "--max-steps",
+                                 max_steps)
+        assert (code, out.splitlines(), got_err) == (0, lines, err)
+
+    def test_reduce_refuses_negative_max_steps(self, capsys):
+        code, out, err = run(capsys, "reduce", "M", "--max-steps", "-5")
+        assert (code, out) == (2, "")
+        assert err == "error: --max-steps must be >= 0, got -5\n"
+
     def test_fr(self, capsys):
         code, out, _ = run(capsys, "fr", "M(M(MM))")
         assert code == 0
@@ -200,6 +215,13 @@ class TestCrosscheckCompare:
         code, out, _ = run(capsys, "compare", str(path), "sizes")
         assert code == 1
         assert "mismatch at index 2" in out
+
+    def test_compare_refuses_bfile_not_from_index_0(self, capsys, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("1 1\n2 2\n3 6\n4 42\n")
+        code, out, err = run(capsys, "compare", str(path), "sizes")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:1: first index 1 (expected 0)\n"
 
 
 class TestRunawayCounts:

@@ -1,3 +1,4 @@
+import gc
 import random
 import warnings
 
@@ -18,7 +19,8 @@ from mockingbird.rewrite import (
     step_predecessors,
     step_successors,
 )
-from mockingbird.terms import app, basic, parse_term, render_term, var
+from mockingbird.terms import (Application, app, basic, parse_term, render_term,
+                               subterms_preorder, var)
 from tests_util import (
     explore_reference,
     predecessor_set,
@@ -32,6 +34,11 @@ SYS_M = load_system("builtin:M")
 SYS_I = load_system("builtin:I")
 SYS_K = load_system("builtin:K")
 SYS_KS = load_system("builtin:KS")
+
+
+def live_applications():
+    gc.collect()
+    return sum(isinstance(o, Application) for o in gc.get_objects())
 
 
 def TM(text):
@@ -164,6 +171,15 @@ class TestExplore:
     def test_node_zero_is_start(self):
         g = explore_component(SYS_M, TM("M(MM)"), "up")
         assert g.nodes[0] == TM("M(MM)")
+
+    def test_terms_share_subterms_and_die_with_the_result(self):
+        t = TM("M(M(M(M(MM))))")
+        before = live_applications()
+        g = explore_component(SYS_M, t, "up")
+        subterms = [u for node in g.nodes for _, u in subterms_preorder(node)]
+        assert len({id(u) for u in subterms}) == len(set(subterms))
+        del g, subterms
+        assert live_applications() == before
 
     def test_deterministic_node_order(self):
         g1 = explore_component(SYS_M, TM("M(M(M(MM)))"), "up")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mockingbird.terms import (
+    Application,
     TermError,
     TermParseError,
     app,
@@ -118,6 +119,22 @@ class TestRender:
         assert render_term(app(M, app(M, M))) == "M(MM)"
 
 
+class TestEquality:
+    def test_deep_terms_built_apart(self):
+        # far past the recursion limit, with no application in common
+        def comb(leaf):
+            t = leaf
+            for _ in range(5000):
+                t = Application(M, t)
+            return t
+
+        t, u = comb(M), comb(M)
+        assert t is not u and t.right is not u.right
+        assert t == u and hash(t) == hash(u)
+        assert t != comb(var(1))
+        assert t != Application(M, u)
+
+
 def random_term(rng, depth, alphabet=("M",), max_var=3):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
@@ -144,8 +161,8 @@ class TestRoundTrip:
         max_leaves=40))
     def test_roundtrip_multi_digit_variables_and_long_names(self, t):
         alphabet = ("M", "A", "BC", "Def")
-        assert parse_term(render_term(t), alphabet) is t
-        assert parse_term(render_full(t), alphabet) is t
+        assert parse_term(render_term(t), alphabet) == t
+        assert parse_term(render_full(t), alphabet) == t
 
 
 class TestMetrics:
