@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterator, Mapping
 
 from .bridge import _decode, encode_term, key_extremal_flags, term_key
-from .posets import DEFAULT_BUDGET, ExploredPoset, explore
+from .posets import DEFAULT_BUDGET, ExplorationError, ExploredPoset, explore
 from .terms import (Term, TermError, Variable, basic, contains_basic, parse_term,
                     subterms_preorder, var, variable_indices)
 
@@ -55,6 +55,9 @@ def load_system(text: str) -> CLSystem:
     resolve to the built-in definitions (M, I, K, S, KS).
     """
     source = BUILTIN_SOURCES.get(text.strip(), text)
+    if source.lstrip().startswith("builtin:"):
+        raise SystemError_(f"unknown system {text.strip()!r}; the built-in "
+                           f"systems are {', '.join(BUILTIN_SOURCES)}")
     rules: dict[str, Rule] = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -98,6 +101,12 @@ def load_system(text: str) -> CLSystem:
 # The rewrite step on prefix keys (bridge.term_key)
 
 _FIRST_TOKEN = ord("A")  # the token of the leaf whose name sorts first
+
+# A step builds about one copy of the key per redex.  Past this bound on
+# redexes x key length a walk ends in neither useful time nor memory, as
+# from a 3,000-deep M(M(...)): 30 ms a step, and the keys keep growing.
+# The largest step in the upset of right_comb(5) is 1,008.
+MAX_STEP_SIZE = 1 << 22
 
 
 def _subterm_ends(key: str) -> list[int]:
@@ -148,9 +157,13 @@ class _KeyRules:
     def successors(self, key: str) -> list[str]:
         """Keys one step from key, in the order of the redexes (self-loops
         kept)."""
+        matches = list(self.redex.finditer(key))
+        if len(matches) * len(key) > MAX_STEP_SIZE:
+            raise ExplorationError(f"term too large to step: {len(matches)} "
+                                   f"redexes x {len(key)} symbols > {MAX_STEP_SIZE}")
         out = []
         end = _subterm_ends(key)
-        for match in self.redex.finditer(key):
+        for match in matches:
             n, rhs, _ = self.rules[key[match.end() - 1]]
             args, pos = [], match.end()
             for _ in range(n):

@@ -10,9 +10,9 @@ a term is freed once dropped.  A walk shares equal subterms through a table
 of its own (bridge._decode).  Equality is structural and runs over a stack
 of pairs, so terms built apart compare at any depth.
 
-The parser reads any depth in one pass.  Printing recurses over the term,
-as an iterative printer measured slower.  Rewriting, substitution and
-pattern matching run on prefix keys (rewrite, bridge), not on terms.
+The parser and the printer each read any depth in one pass, without
+recursion.  Rewriting, substitution and pattern matching run on prefix
+keys (rewrite, bridge), not on terms.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ class TermParseError(TermError):
 
 class Term:
     __slots__ = ()
-
-    degree = 0
-    height = 0
 
     def __repr__(self) -> str:
         return f"<Term {render_term(self)}>"
@@ -80,14 +77,11 @@ class Basic(Term):
 
 
 class Application(Term):
-    __slots__ = ("left", "right", "degree", "height", "_hash")
+    __slots__ = ("left", "right", "_hash")
 
     def __init__(self, left: Term, right: Term):
         self.left = left
         self.right = right
-        self.degree = left.degree + right.degree + 1
-        # a conditional costs less than a call to max() on this hot path
-        self.height = 1 + (left.height if left.height > right.height else right.height)
         self._hash = hash((left._hash, right._hash))
 
     def __hash__(self) -> int:
@@ -194,21 +188,20 @@ def parse_term(text: str, alphabet: Sequence[str] | set[str] | frozenset[str]) -
 
 def render_term(t: Term) -> str:
     """Print a term, without the parentheses that left associativity
-    implies."""
+    implies.  The stack holds the right sides still to print, and the
+    parentheses around each one that is an application."""
     parts: list[str] = []
-
-    def emit(u: Term, parenthesize: bool) -> None:
-        if isinstance(u, Application):
-            if parenthesize:
-                parts.append("(")
-            emit(u.left, False)
-            emit(u.right, True)
-            if parenthesize:
-                parts.append(")")
-        else:
-            parts.append(u.name if isinstance(u, Basic) else f"x{u.index}")
-
-    emit(t, False)
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        while type(u) is Application:  # down the left spine
+            if type(u.right) is Application:
+                stack += ")", u.right, "("
+            else:
+                stack.append(u.right)
+            u = u.left
+        parts.append(u if type(u) is str else
+                     u.name if type(u) is Basic else f"x{u.index}")
     return "".join(parts)
 
 

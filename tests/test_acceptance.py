@@ -17,6 +17,7 @@ from mockingbird.cli import main as cli_main
 from mockingbird.forests import compact_key, forest_upset, join, ladder, meet, parse_forest
 from mockingbird.posets import down_sets, poset_analysis
 from mockingbird.terms import parse_term
+from tests_util import term_metrics
 
 SYS_M = rewrite.load_system("builtin:M")
 GATED = bool(os.environ.get("MOCKINGBIRD_RUN_GATED"))
@@ -152,8 +153,8 @@ def test_criterion_9_property_suites():
     # height preservation under one step, all combinators of degree <= 8
     for degree in range(9):
         for t in oracle.all_combinators(degree):
-            h = t.height
-            assert all(u.height == h
+            h = term_metrics(t).height
+            assert all(term_metrics(u).height == h
                        for u in rewrite.step_successors(SYS_M, t))
 
     # acyclicity and unique extremes of every explored component (deg <= 5)

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mockingbird
 from mockingbird import oracle, rewrite
@@ -12,7 +16,7 @@ from mockingbird.cli import export_graph, main
 from mockingbird.posets import IncompleteExplorationError, poset_analysis
 from mockingbird.rewrite import explore_component, load_system
 from mockingbird.terms import parse_term
-from tests_util import forbid_sequence_solvers
+from tests_util import FUZZ_PIECES, forbid_sequence_solvers
 
 SYS_M = load_system("builtin:M")
 
@@ -88,6 +92,37 @@ class TestGraph:
         assert code == 2
         assert out == ""
         assert "error" in err
+
+
+class TestSystemArgument:
+    # text with ":=" is a system, builtin:NAME a built-in, else a path
+    def test_rules_as_text(self, capsys):
+        expected = run(capsys, "graph", "M(M(MM))")
+        assert run(capsys, "graph", "M(M(MM))", "--system",
+                   "M 1 := x1 x1") == expected
+
+    def test_rules_from_a_file(self, capsys, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("# the Mockingbird\nM 1 := x1 x1\n")
+        expected = run(capsys, "graph", "M(M(MM))")
+        assert run(capsys, "graph", "M(M(MM))", "--system",
+                   str(path)) == expected
+
+    def test_missing_path_is_named(self, capsys, tmp_path):
+        path = tmp_path / "missing.txt"
+        code, out, err = run(capsys, "graph", "M", "--system", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: " \
+                      f"{str(path)!r}\n"
+
+    def test_unknown_builtin_lists_the_known_names(self, capsys):
+        code, out, err = run(capsys, "graph", "M", "--system", "builtin:Q")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: unknown system 'builtin:Q'; the built-in "
+                       "systems are builtin:M, builtin:I, builtin:K, "
+                       "builtin:S, builtin:KS\n")
 
 
 class TestReduceCheckFr:
@@ -287,32 +322,95 @@ class TestRunawayCounts:
 
 
 class TestDeepTerms:
-    # the term printer recurses over these beyond the interpreter's limit,
-    # so graph, check and reduce refuse them before exploring; the parser,
-    # the rewrite step, fr and the forest printer do not recurse
+    # the parser, the printer, the rewrite step, fr and the forest printer
+    # do not recurse, so depth alone is no reason to refuse a term; a step
+    # too large for a walk to end is (rewrite.MAX_STEP_SIZE)
     LEFT_SPINE = "M" * 5000
     NESTED = "M(" * 3000 + "M" + ")" * 3000
+    CHECK_ROWS = [
+        ("complete", "True"), ("nodes", "1"), ("acyclic", "True"),
+        ("rooted (unique minimal)", "True"), ("unique maximal", "True"),
+        ("lattice", "True"), ("hierarchical[M]", "True"),
+        ("confluence pairs", "0"), ("confluence joinable", "True"),
+    ]
 
-    @pytest.mark.parametrize("argv", [
-        ("check", LEFT_SPINE),
-        ("graph", NESTED),
-        ("reduce", LEFT_SPINE),
-        ("reduce", NESTED),
-        ("check", NESTED),
-        ("graph", LEFT_SPINE),
-    ], ids=["check", "graph", "reduce-left-spine", "reduce-nested",
-            "check-nested", "graph-left-spine"])
-    def test_exit_2_with_one_line(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
+    @pytest.mark.parametrize("command", ["check", "graph", "reduce"])
+    def test_left_spine_answers(self, capsys, command):
+        # M M -> M M at the bottom of the spine: one node with a self-loop
+        code, out, err = run(capsys, command, self.LEFT_SPINE)
+        assert code == 0
+        assert err == ""
+        if command == "check":
+            assert out == "".join(f"{name:<23}  {value}\n"
+                                  for name, value in self.CHECK_ROWS)
+        elif command == "graph":
+            assert json.loads(out) == {
+                "flags": {"is_acyclic": True, "is_complete": True,
+                          "is_lattice": True},
+                "hasse_edges": [], "maximal": [0], "minimal": [0],
+                "nodes": [self.LEFT_SPINE], "step_edges": [[0, 0]],
+            }
+        else:
+            assert out == self.LEFT_SPINE + "\n"
+
+    @pytest.mark.parametrize("command", ["graph", "reduce", "check"],
+                             ids=["graph", "reduce-nested", "check-nested"])
+    def test_exit_2_with_one_line(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, self.NESTED)
+        assert time.perf_counter() - start < 5
         assert code == 2
-        assert out == ""
-        assert err == "error: term nested too deeply\n"
+        # reduce prints the start term before its first step
+        printed = "M(" * 2999 + "MM" + ")" * 2999 + "\n"
+        assert out == (printed if command == "reduce" else "")
+        assert err == ("error: term too large to step: 3000 redexes x 6001 "
+                       f"symbols > {rewrite.MAX_STEP_SIZE}\n")
 
     def test_fr_answers(self, capsys):
         code, out, err = run(capsys, "fr", self.NESTED)
         assert code == 0
         assert out == "w(" * 2998 + "w" + ")" * 2998 + "\n"
         assert err == ""
+
+
+# random term text, left spines of any length, and right combs shallow
+# enough to walk or deep enough for the step guard (rewrite.MAX_STEP_SIZE);
+# between the two, check's confluence probe takes minutes on one comb
+CLI_TERMS = st.one_of(
+    st.lists(st.sampled_from(FUZZ_PIECES), max_size=24).map("".join),
+    st.integers(1, 5000).map(lambda n: "M" * n),
+    st.one_of(st.integers(1, 40), st.sampled_from([3000, 5000])).map(
+        lambda n: "M(" * n + "M" + ")" * n))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["graph", "check", "reduce", "fr"]))
+    argv = [command, draw(CLI_TERMS)]
+    if command == "fr":
+        return argv
+    argv += ["--system",
+             draw(st.sampled_from(["builtin:M", "builtin:KS", "builtin:I"]))]
+    if command == "reduce":
+        return argv + ["--max-steps", "5"]
+    argv += ["--budget", "50"]
+    if command == "graph" and draw(st.booleans()):
+        argv.append("--hasse")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_cli_exit_codes(argv):
+    # in-process, so an exception that escapes main fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    if err not in ("", "... step limit reached\n"):
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_closed_output_pipe_exits_141():

@@ -15,6 +15,8 @@ from mockingbird.terms import (
     var,
 )
 from tests_util import (
+    FUZZ_PIECES,
+    TermMetrics,
     match_pattern,
     parse_term_recursive,
     render_full,
@@ -90,9 +92,6 @@ class TestParse:
         assert t is M
 
 
-# pieces of text that reach every branch and every error of the parser
-FUZZ_PIECES = list("MKSI x0123()") + ["\t", "x1", "x12", "KS", "\u00e9",
-                                      "\u00b2", "\u0663"]
 FUZZ_ALPHABETS = [{"M"}, {"K", "S"}, {"I"}, {"KS", "K", "S"}, set()]
 
 
@@ -117,6 +116,16 @@ class TestRender:
 
     def test_concise_right_child(self):
         assert render_term(app(M, app(M, M))) == "M(MM)"
+
+    @pytest.mark.parametrize("text", [
+        "M(" * 4999 + "MM" + ")" * 4999,  # a right comb 5,000 deep
+        "M" * 5001,  # a left spine 5,000 deep
+    ], ids=["right-comb", "left-spine"])
+    def test_round_trip_far_past_the_recursion_limit(self, text):
+        t = T(text)
+        assert term_metrics(t) == TermMetrics(degree=5000, height=5000)
+        assert render_term(t) == text
+        assert T(render_term(t)) == t
 
 
 class TestEquality:

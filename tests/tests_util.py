@@ -22,10 +22,15 @@ from mockingbird.terms import (
     Variable,
     app,
     basic,
+    subterms_preorder,
     var,
 )
 
 _M = basic("M")
+
+# pieces of text that reach every branch and every error of the parser
+FUZZ_PIECES = list("MKSI x0123()") + ["\t", "x1", "x12", "KS", "\u00e9",
+                                      "\u00b2", "\u0663"]
 
 
 def random_m_term(rng, degree, variables=0):
@@ -65,7 +70,10 @@ class TermMetrics:
 
 def term_metrics(t: Term) -> TermMetrics:
     """Degree = number of application nodes, height = maximal leaf depth."""
-    return TermMetrics(degree=t.degree, height=t.height)
+    nodes = list(subterms_preorder(t))
+    return TermMetrics(
+        degree=sum(isinstance(u, Application) for _, u in nodes),
+        height=max(depth for depth, _ in nodes))
 
 
 def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
