@@ -20,7 +20,7 @@ from .forests import (
     ladder,
     meet,
 )
-from .posets import ExploredPoset, down_sets, poset_analysis
+from .posets import ExploredPoset, down_sets, explore, poset_analysis
 from .terms import Term, basic
 
 
@@ -45,9 +45,10 @@ MAX_CENSUS_DEGREE = 10  # extremal census over all combinators of a degree
 def oracle_poset_counts(d: int) -> OracleCounts:
     """Counts for the upset of the d-ladder by explicit construction.
 
-    For d <= 4 the whole poset is built: hasse_edges is the exact
-    transitive reduction, cover_equals_step compares it against the
-    single-step relation, and intervals sums the up-set sizes.  d = 5
+    For d <= 4 the whole poset is built on compact string keys, with no
+    forest parsed back: hasse_edges is the exact transitive reduction,
+    cover_equals_step compares it against the single-step relation, and
+    intervals sums the up-set sizes.  d = 5
     (3.26M elements) streams over compact string keys, counting elements
     and single-step edges; there hasse_edges reports the step-edge count
     (covering equals single step on every exactly checked instance), and
@@ -62,7 +63,8 @@ def oracle_poset_counts(d: int) -> OracleCounts:
         return OracleCounts(d=d, elements=elements, hasse_edges=step_edges,
                             intervals=None, cover_equals_step=None)
 
-    g = _analyzed_upset(ladder(d))
+    g = poset_analysis(explore(compact_key(ladder(d)), key_successors,
+                               sort_key=str), check_lattice=False)
     return OracleCounts(
         d=d,
         elements=len(g.nodes),

@@ -178,15 +178,15 @@ def poset_analysis(g: ExploredPoset, check_lattice: bool = True) -> ExploredPose
         g.is_lattice = False
         return g
 
-    # Cover edges: a step edge u->v is a cover iff no other successor of u
-    # already reaches v.
+    # Cover edges: a step edge u->v is a cover iff v is not strictly above
+    # any successor of u, so one union per node decides all of its edges.
     hasse: set[tuple[int, int]] = set()
     for u in range(n):
         succs = adj[u]
-        for v in succs:
-            bit = 1 << v
-            if not any(w != v and reach[w] & bit for w in succs):
-                hasse.add((u, v))
+        beyond = 0  # union over successors w of reach[w] minus w itself
+        for w in succs:
+            beyond |= reach[w] & ~(1 << w)
+        hasse.update((u, v) for v in succs if not (beyond >> v) & 1)
     g.hasse_edges = hasse
 
     if not check_lattice:
@@ -197,43 +197,6 @@ def poset_analysis(g: ExploredPoset, check_lattice: bool = True) -> ExploredPose
         all(map(contains, map(reach[a].__and__, reach[a + 1:])))
         for a in range(n - 1))
     return g
-
-
-def brute_lub(g: ExploredPoset, a: int, b: int) -> Optional[int]:
-    """Unique least upper bound of nodes a, b from explicit reachability,
-    or None if it does not exist. Requires prior poset_analysis."""
-    if g.reach is None:
-        raise ExplorationError("run poset_analysis first")
-    common = g.reach[a] & g.reach[b]
-    if common == 0:
-        return None
-    # the LUB, if any, is the x in common whose whole up-set equals common
-    for x in _bits(common):
-        if g.reach[x] == common:
-            return x
-    return None
-
-
-def brute_glb(g: ExploredPoset, a: int, b: int) -> Optional[int]:
-    """Unique greatest lower bound of nodes a, b from explicit reachability,
-    or None if it does not exist. Requires prior poset_analysis."""
-    if g.reach is None:
-        raise ExplorationError("run poset_analysis first")
-    both = 1 << a | 1 << b
-    lower = [x for x, r in enumerate(g.reach) if r & both == both]
-    # the GLB, if any, is the common lower bound every other one reaches
-    for x in lower:
-        bit = 1 << x
-        if all(g.reach[y] & bit for y in lower):
-            return x
-    return None
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def down_sets(g: ExploredPoset) -> list[int]:

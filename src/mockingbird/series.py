@@ -14,13 +14,16 @@ but don't be too lazy" (2002), with the naive product.
 The catalytic interval family is one level loop, ``interval_levels``, run
 from two sets of start rows: the recurrence of ``sequences`` gives levels 0
 and 1 in closed form, and the series solver gives levels d <= 4 as moments
-of the exact upset-size distributions of the ladder upsets.
+of the exact upset-size distributions of the ladder upsets.  The loop's
+binomial sum, sum over i of C(k,i) a_{k+i}, is coefficient 0 of T^k a for
+(T a)_j = a_{j+1} + a_{j+2}, because T^k = E^k (1+E)^k for the shift E: it
+takes additions only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 from typing import Callable
 
 
@@ -216,18 +219,20 @@ def _upset_size_distributions(levels: int) -> list[dict[int, int]]:
 def interval_levels(order: int, start: list[list[int]]) -> list[list[int]]:
     """Rows 0..order of the catalytic interval family, from the first rows
     ``start``: entry k-1 of row d is a_k(d) = a_k(d-1)^2 + sum over i in
-    [0..k] of C(k,i) a_{k+i}(d-1), for k up to its demand bound 2^(order-d)."""
+    [0..k] of C(k,i) a_{k+i}(d-1), for k up to its demand bound 2^(order-d).
+
+    The binomial sum is (T^k a)_0 for the operator (T a)_j = a_{j+1} +
+    a_{j+2} on a_j = a_j(d-1), since T^k = E^k (1+E)^k for the shift E.  So
+    each row applies T once per k, by additions alone."""
     rows = list(start)
     for d in range(len(rows), order + 1):
         prev = rows[-1]
+        width = 1 << (order - d)
+        level = [0] + prev[:2 * width]  # level[j] = a_j(d-1); a_0 is never read
         row = []
-        for k in range(1, (1 << (order - d)) + 1):
-            total = prev[k - 1] * prev[k - 1]
-            binom = 1  # C(k, i), updated incrementally
-            for i, a in enumerate(prev[k - 1:2 * k]):
-                total += binom * a
-                binom = binom * (k - i) // (i + 1)
-            row.append(total)
+        for a in prev[:width]:
+            level = list(map(add, level[1:], level[2:]))
+            row.append(a * a + level[0])
         rows.append(row)
     return rows
 

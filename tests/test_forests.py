@@ -28,13 +28,11 @@ from mockingbird.forests import (
 )
 from mockingbird.posets import (
     DEFAULT_BUDGET,
-    brute_glb,
-    brute_lub,
     down_sets,
     explore,
     poset_analysis,
 )
-from tests_util import forest_step_successors
+from tests_util import brute_glb, brute_lub, forest_step_successors
 
 F = parse_forest
 

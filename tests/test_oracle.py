@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mockingbird import forests
 from mockingbird.forests import (
     compact_key,
     forest_upset,
@@ -46,6 +47,19 @@ class TestPosetCounts:
     def test_infeasible_d(self):
         with pytest.raises(OracleError):
             oracle_poset_counts(6)
+
+    def test_counts_on_keys_without_parsing_forests(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a forest was parsed")
+
+        monkeypatch.setattr(forests, "_parse", fail)
+        golden = [(1, 0, 1), (2, 1, 3), (6, 7, 17), (42, 97, 371),
+                  (1806, 8287, 144513)]
+        for d, want in enumerate(golden):
+            counts = oracle_poset_counts(d)
+            assert (counts.elements, counts.hasse_edges,
+                    counts.intervals) == want, d
+            assert counts.cover_equals_step is True
 
 
 class TestCoverEqualsStep:

@@ -4,12 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from mockingbird.posets import (
     ExploredPoset,
-    brute_glb,
-    brute_lub,
     down_sets,
     explore,
     poset_analysis,
 )
+from tests_util import brute_glb, brute_lub
 
 
 def analyzed(n, edges, labels=None):
@@ -107,6 +106,24 @@ def test_down_sets_transpose_reach(case):
     transpose = [sum(1 << i for i in range(n) if g.reach[i] >> j & 1)
                  for j in range(n)]
     assert down_sets(g) == transpose
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dags(), digraphs()))
+def test_hasse_edges_are_the_covers_of_reach(case):
+    n, edges = case[:2]
+    g = analyzed(n, edges)
+
+    def below(u, v):
+        return u != v and g.reach[u] >> v & 1
+
+    pairs = [(u, v) for u in range(n) for v in range(n) if below(u, v)]
+    if any(below(v, u) for u, v in pairs):
+        assert g.hasse_edges == set()
+        return
+    covers = {(u, v) for u, v in pairs
+              if not any(below(u, z) and below(z, v) for z in range(n))}
+    assert g.hasse_edges == covers
 
 
 def test_bowtie_has_bottom_but_not_every_join():

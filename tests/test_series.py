@@ -7,6 +7,7 @@ from mockingbird.sequences import GOLDEN_PREFIXES
 from mockingbird.series import (
     SeriesError,
     _upset_size_distributions,
+    interval_levels,
     polynomial,
     solve_equation,
     solve_interval_family,
@@ -16,6 +17,7 @@ from tests_util import (
     constant,
     hadamard,
     interval_family_recursive,
+    interval_levels_literal,
     max_product,
     one,
     series_arith,
@@ -208,6 +210,18 @@ class TestResiduals:
                 demanded = d == 0 or k <= 1 << (order - d)
                 want = interval_family_recursive(k, d, memo) if demanded else 0
                 assert c == want, (k, d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_interval_levels_apply_the_literal_rule(self, data):
+        order = data.draw(st.integers(0, 7), label="order")
+        given_rows = data.draw(st.integers(1, order + 1), label="start rows")
+        start = [data.draw(st.lists(st.integers(0, 9),
+                                    min_size=1 << (order - d),
+                                    max_size=1 << (order - d)), label=f"row {d}")
+                 for d in range(given_rows)]
+        assert interval_levels(order, start) == \
+            interval_levels_literal(order, start)
 
     def test_upset_size_moments_are_the_golden_prefix(self):
         moments = [sum(m * v for v, m in dist.items())

@@ -3,15 +3,16 @@ the library's code is compared against: the recursive term parser, the
 rewrite step on Term objects with its substitution, pattern matching and
 full rendering, the forest step on nested tuples, the M step by redex
 paths, the recursive fr, the combinators of a degree built as terms, the
-whole-series operators on truncated series, and the recursive catalytic
-interval rule."""
+whole-series operators on truncated series, the catalytic interval rule
+by recursion and by its literal binomial sum, and least upper and greatest
+lower bounds from explicit reachability."""
 
 from dataclasses import dataclass
 from math import comb
 
 from mockingbird import sequences
 from mockingbird.forests import BLACK, EMPTY, WHITE
-from mockingbird.posets import explore
+from mockingbird.posets import ExplorationError, explore
 from mockingbird.series import SeriesError, TruncSeries
 from mockingbird.terms import (
     Application,
@@ -502,3 +503,59 @@ def interval_family_recursive(k, d, memo):
                 comb(k, i) * interval_family_recursive(k + i, d - 1, memo)
                 for i in range(k + 1))
     return memo[k, d]
+
+
+def interval_levels_literal(order, start):
+    """Rows 0..order from the first rows ``start``, each entry of row d
+    filled exactly as the rule reads: a_k(d) = a_k(d-1)^2 + sum over i in
+    [0..k] of comb(k, i) a_{k+i}(d-1), for k <= 2^(order-d).  The reference
+    for the shift-add loop of ``series.interval_levels`` on any start rows."""
+    rows = [list(row) for row in start]
+    for d in range(len(rows), order + 1):
+        prev = rows[-1]
+        rows.append([
+            prev[k - 1] ** 2 + sum(comb(k, i) * prev[k + i - 1]
+                                   for i in range(k + 1))
+            for k in range(1, (1 << (order - d)) + 1)])
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Bounds from explicit reachability
+
+
+def brute_lub(g, a, b):
+    """Unique least upper bound of nodes a, b from explicit reachability,
+    or None if it does not exist. Requires prior poset_analysis."""
+    if g.reach is None:
+        raise ExplorationError("run poset_analysis first")
+    common = g.reach[a] & g.reach[b]
+    if common == 0:
+        return None
+    # the LUB, if any, is the x in common whose whole up-set equals common
+    for x in _bits(common):
+        if g.reach[x] == common:
+            return x
+    return None
+
+
+def brute_glb(g, a, b):
+    """Unique greatest lower bound of nodes a, b from explicit reachability,
+    or None if it does not exist. Requires prior poset_analysis."""
+    if g.reach is None:
+        raise ExplorationError("run poset_analysis first")
+    both = 1 << a | 1 << b
+    lower = [x for x, r in enumerate(g.reach) if r & both == both]
+    # the GLB, if any, is the common lower bound every other one reaches
+    for x in lower:
+        bit = 1 << x
+        if all(g.reach[y] & bit for y in lower):
+            return x
+    return None
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
