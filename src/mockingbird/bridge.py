@@ -1,5 +1,11 @@
 """Translation from Mockingbird terms to duplicative forests and
 verification that the term upset and the forest upset are isomorphic posets.
+
+Terms are handled as prefix keys (strings) and forests as compact keys, and
+both are stepped by string surgery.  The verification transports fr along
+rewrite steps.  It holds each upset element as the pair of the prefix keys
+of its two sides, and steps each distinct side once per call: the sides
+come from the much smaller upsets of the start's two sides.
 """
 
 from __future__ import annotations
@@ -9,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .forests import BLACK, WHITE, DupForest, key_successors, parse_forest
-from .posets import DEFAULT_BUDGET, ExplorationError
+from .posets import DEFAULT_BUDGET, MAX_STEP_SIZE, ExplorationError
 from .terms import Application, Basic, Term, TermError, app, basic, render_term
 
 _M = basic("M")
@@ -25,16 +31,6 @@ def fr_map(t: Term) -> DupForest:
     Computed without recursion over the term, as the compact key fr_key
     reads off its prefix key; encode_term rejects a foreign combinator."""
     return parse_forest(fr_key(encode_term(t)[0]))
-
-
-def right_comb(d: int) -> Term:
-    """M applied to itself d times, associated to the right: r_d = M r_{d-1}."""
-    if d < 0:
-        raise TermError("right comb index must be >= 0")
-    t: Term = _M
-    for _ in range(d):
-        t = app(_M, t)
-    return t
 
 
 @dataclass
@@ -140,23 +136,33 @@ def fr_key(key: str) -> str:
     return stack[0] or ""
 
 
+def _subterm_end(key: str, start: int) -> int:
+    """Where the subterm of a prefix key that starts at ``start`` ends: where
+    its leaves first outnumber its applications."""
+    end, need = start, 1
+    while need:
+        need += 1 if key[end] == "." else -1
+        end += 1
+    return end
+
+
 def key_redex_successors(key: str) -> list[str]:
     """Prefix keys of the terms one progressing redex away: every ".M<s>"
     with s != M becomes ".<s><s>" (M M only rewrites to itself).  They are
     listed by the position of the redex, which is the pre-order of the white
     nodes that fr_key makes for them, and distinct redexes give distinct
-    terms."""
+    terms.  A key whose redexes (M M counted, as the rewrite step counts
+    it) times its length pass MAX_STEP_SIZE raises ExplorationError."""
+    redexes = key.count(".M")
+    if redexes * len(key) > MAX_STEP_SIZE:
+        raise ExplorationError(f"term too large to step: {redexes} redexes "
+                               f"x {len(key)} symbols > {MAX_STEP_SIZE}")
     out = []
     i = key.find(".M")
     while i >= 0:
         j = i + 2
         if key[j] != "M":
-            # s ends where its leaves first outnumber its applications
-            end = j
-            need = 1
-            while need:
-                need += 1 if key[end] == "." else -1
-                end += 1
+            end = _subterm_end(key, j)
             arg = key[j:end]
             out.append(f"{key[:i + 1]}{arg}{arg}{key[end:]}")
         i = key.find(".M", j)
@@ -217,6 +223,30 @@ def _fr_injective(forest_keys: Iterable[str]) -> bool:
     return True
 
 
+def _pair_successors(u: tuple[str, str],
+                     steps: dict[str, list[str]]) -> list[tuple[str, str]]:
+    """The terms one progressing redex from the application whose sides have
+    the prefix keys u = (a, b), as pairs of sides, in the redex order of its
+    prefix key "." + a + b: the root redex M b -> b b, then those in a, then
+    those in b.  ``steps`` holds the key_redex_successors of each side met
+    so far, and gains a and b."""
+    a, b = u
+    # loops, not comprehensions, which cost a call each on Python 3.11:
+    # most of these lists are empty or short
+    fired = [(b, b)] if a == "M" != b else []
+    side_steps = steps.get(a)
+    if side_steps is None:
+        side_steps = steps[a] = key_redex_successors(a)
+    for a2 in side_steps:
+        fired.append((a2, b))
+    side_steps = steps.get(b)
+    if side_steps is None:
+        side_steps = steps[b] = key_redex_successors(b)
+    for b2 in side_steps:
+        fired.append((a, b2))
+    return fired
+
+
 def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     """Check that the upset of t and the upset of fr_map(t) are isomorphic
     posets, using fr transported along rewrite steps as the candidate map.
@@ -225,14 +255,23 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     the isomorphism; instead its local structure is transported: the i-th
     progressing redex of a term is paired with the i-th white node of its
     assigned forest, and firing the redex is matched with blackening the
-    node.  The product graph is explored breadth-first from (t, fr(t)) over
-    pairs of strings, the prefix key of the term (encode_term) and the
-    compact key of the forest, by string surgery on both sides
-    (key_redex_successors, key_successors); no Term is built.  If the
+    node.  The product graph is explored breadth-first from (t, fr(t)) on
+    strings, by string surgery on both sides; no Term is built.  If the
     resulting term-to-forest assignment is well defined (independent of the
     path taken) and injective, and the out-degrees agree everywhere, then it
     is a bijection matching non-loop steps on both sides — a poset
     isomorphism witnessed constructively.
+
+    The forest side is the compact key, stepped by key_successors.  Every
+    element above an application is an application, so the term side is
+    the pair of prefix keys (encode_term) of its two sides, and each
+    distinct side is stepped once per call by key_redex_successors.  The
+    successors of (a, b) are (b, b) when a is M and b is not, then (a', b)
+    for each step a' of a, then (a, b') for each step b' of b: the redex
+    order of the prefix key "." + a + b.  The sides come from the upsets of
+    the start's two sides, so the steps held are few, while the elements
+    are many and share their side strings.  A side too large to step
+    raises ExplorationError (MAX_STEP_SIZE).
 
     Literal fr of an upset element is its transported forest with the black
     nodes erased (erase_black), so fr_injective_on_upset is read off the
@@ -245,29 +284,42 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     """
     start, leaves = encode_term(t)
     start_key = fr_key(start)
-    assignment: dict[str, str] = {start: start_key}
-    forest_keys: set[str] = {start_key}
-    queue: deque[str] = deque([start])
     consistent = True
     detail = ""
+    queue: deque[tuple[str, str]] = deque()
+    if start[0] == ".":
+        end = _subterm_end(start, 1)
+        root: str | tuple[str, str] = (start[1:end], start[end:])
+        queue.append(root)
+    else:  # a leaf fires no redex, so its forest may have no white node
+        root = start
+        if key_successors(start_key):
+            consistent = False
+            detail = f"out-degree mismatch at {render_term(t)}"
+    assignment = {root: start_key}
+    forest_keys: set[str] = {start_key}
+    steps: dict[str, list[str]] = {}  # key_redex_successors of each side
+
+    def name(u: tuple[str, str]) -> str:
+        return render_term(decode_term("." + u[0] + u[1], leaves))
 
     while queue and not detail:
         u = queue.popleft()
-        fired = key_redex_successors(u)
+        fired = _pair_successors(u, steps)
         blackenings = key_successors(assignment[u])
         if len(fired) != len(blackenings):
             consistent = False
-            detail = f"out-degree mismatch at {render_term(decode_term(u, leaves))}"
+            detail = f"out-degree mismatch at {name(u)}"
         for v, key2 in zip(fired, blackenings):
             seen_key = assignment.get(v)
             if seen_key is not None:
                 if seen_key != key2:
                     consistent = False
-                    detail = f"transport conflict at {render_term(decode_term(v, leaves))}"
+                    detail = f"transport conflict at {name(v)}"
                     break
                 continue
             if key2 in forest_keys:
-                detail = f"forest collision at {render_term(decode_term(v, leaves))}"
+                detail = f"forest collision at {name(v)}"
                 break
             if len(assignment) >= budget:
                 raise ExplorationError("budget exhausted during verification")

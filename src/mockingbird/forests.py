@@ -4,13 +4,11 @@ step, upset exploration, and the recursive meet/join lattice operations.
 A forest is a tuple of trees; a tree is a pair ``(color, children)`` with
 color ``"w"`` or ``"b"`` and children again a forest.  Nested tuples are the
 public type, recursed over by meet and join; the duplication step runs on
-compact keys (the space-free rendering) by string surgery.  Parsing,
-printing and the metrics run without recursion, on forests of any depth.
+compact keys (the space-free rendering) by string surgery.  Parsing and
+printing run without recursion, on forests of any depth.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
 
 from .posets import DEFAULT_BUDGET, ExploredPoset, explore
 
@@ -101,7 +99,7 @@ def compact_key(f: DupForest) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Constructors and metrics
+# Constructors
 
 
 def ladder(d: int) -> DupForest:
@@ -112,30 +110,6 @@ def ladder(d: int) -> DupForest:
     for _ in range(d):
         f = ((WHITE, f),)
     return f
-
-
-def forest_height(f: DupForest) -> int:
-    """Number of nodes on a longest root-to-leaf chain; height(ladder(d)) = d."""
-    # one more than the deepest parenthesis nesting; 0 for the empty forest
-    depths = accumulate((c == "(") - (c == ")") for c in compact_key(f))
-    return max(depths, default=-1) + 1
-
-
-def node_count(f: DupForest) -> int:
-    key = compact_key(f)
-    return len(key) - 2 * key.count("(")
-
-
-def black_count(f: DupForest) -> int:
-    return compact_key(f).count(BLACK)
-
-
-def white_count(f: DupForest) -> int:
-    return compact_key(f).count(WHITE)
-
-
-def is_white_only(f: DupForest) -> bool:
-    return BLACK not in compact_key(f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Brute-force ground truth: explicit upset construction with exact counts
-of elements, Hasse edges, and intervals, the covering/interval coefficient
-maps, meet-decomposition counts, and the extremal census over all
+of elements, Hasse edges, and intervals, and the extremal census over all
 Mockingbird combinators of a degree.
 """
 
@@ -8,19 +7,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 from .bridge import _decode, key_extremal_flags
-from .forests import (
-    DupForest,
-    compact_key,
-    forest_upset,
-    key_successors,
-    ladder,
-    meet,
-)
-from .posets import ExploredPoset, down_sets, explore, poset_analysis
+from .forests import compact_key, key_successors, ladder
+from .posets import explore, poset_analysis
 from .terms import Term, basic
 
 
@@ -90,55 +81,6 @@ def _ladder_stream_counts(d: int) -> tuple[int, int]:
                 seen.add(s2)
                 queue.append(s2)
     return len(seen), edges
-
-
-def _analyzed_upset(f: DupForest) -> ExploredPoset:
-    return poset_analysis(forest_upset(f), check_lattice=False)
-
-
-def oracle_ni(f: DupForest) -> dict[DupForest, int]:
-    """In-degree of every element of the upset of f under the single-step
-    relation: the number of forests each element covers.  Zero entries are
-    omitted."""
-    g = _analyzed_upset(f)
-    counts: dict[DupForest, int] = {}
-    for i, j in g.nonloop_edges():
-        target = g.nodes[j]
-        counts[target] = counts.get(target, 0) + 1
-    return counts
-
-
-def oracle_ns(f: DupForest) -> dict[DupForest, int]:
-    """Down-set size of every element within the upset of f: the number of
-    elements g with f <= g <= f'."""
-    g = _analyzed_upset(f)
-    down = down_sets(g)
-    return {g.nodes[j]: down[j].bit_count() for j in range(len(g.nodes))}
-
-
-def oracle_md_k(f: DupForest, k: int) -> dict[DupForest, int]:
-    """For every element f' of the upset of f, the number of k-tuples of
-    elements of the upset of f' whose iterated meet equals f'.  Exhaustive
-    over |upset|^k tuples: tiny instances only."""
-    if k < 1:
-        raise OracleError("k must be >= 1")
-    g = _analyzed_upset(f)
-    n = len(g.nodes)
-    out: dict[DupForest, int] = {}
-    for i in range(n):
-        base = g.nodes[i]
-        above = [g.nodes[j] for j in range(n) if g.reach[i] >> j & 1]
-        if len(above) ** k > 1_000_000:
-            raise OracleError("meet-decomposition enumeration is infeasible here")
-        count = 0
-        for combo in product(above, repeat=k):
-            m = combo[0]
-            for x in combo[1:]:
-                m = meet(m, x)
-            if m == base:
-                count += 1
-        out[base] = count
-    return out
 
 
 # ---------------------------------------------------------------------------

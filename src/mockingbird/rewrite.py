@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterator, Mapping
 
 from .bridge import _decode, encode_term, key_extremal_flags, term_key
-from .posets import DEFAULT_BUDGET, ExplorationError, ExploredPoset, explore
+from .posets import (DEFAULT_BUDGET, MAX_STEP_SIZE, ExplorationError, ExploredPoset,
+                     explore)
 from .terms import (Term, TermError, Variable, basic, contains_basic, parse_term,
                     subterms_preorder, var, variable_indices)
 
@@ -101,12 +102,6 @@ def load_system(text: str) -> CLSystem:
 # The rewrite step on prefix keys (bridge.term_key)
 
 _FIRST_TOKEN = ord("A")  # the token of the leaf whose name sorts first
-
-# A step builds about one copy of the key per redex.  Past this bound on
-# redexes x key length a walk ends in neither useful time nor memory, as
-# from a 3,000-deep M(M(...)): 30 ms a step, and the keys keep growing.
-# The largest step in the upset of right_comb(5) is 1,008.
-MAX_STEP_SIZE = 1 << 22
 
 
 def _subterm_ends(key: str) -> list[int]:

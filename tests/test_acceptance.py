@@ -17,7 +17,7 @@ from mockingbird.cli import main as cli_main
 from mockingbird.forests import compact_key, forest_upset, join, ladder, meet, parse_forest
 from mockingbird.posets import down_sets, poset_analysis
 from mockingbird.terms import parse_term
-from tests_util import term_metrics
+from tests_util import oracle_ni, oracle_ns, term_metrics
 
 SYS_M = rewrite.load_system("builtin:M")
 GATED = bool(os.environ.get("MOCKINGBIRD_RUN_GATED"))
@@ -145,8 +145,8 @@ def test_criterion_7_pattern_census():
 def test_criterion_8_ni_ns_spot_values():
     f = parse_forest("w(w) w")
     all_black = parse_forest("b(b b) b")
-    assert oracle.oracle_ni(f)[all_black] == 4
-    assert oracle.oracle_ns(f)[all_black] == 12
+    assert oracle_ni(f)[all_black] == 4
+    assert oracle_ns(f)[all_black] == 12
 
 
 def test_criterion_9_property_suites():

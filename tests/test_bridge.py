@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 
@@ -11,13 +12,11 @@ from mockingbird.bridge import (
     fr_key,
     fr_map,
     key_redex_successors,
-    right_comb,
     verify_fr_isomorphism,
 )
 from mockingbird.forests import (
     compact_key,
     forest_upset,
-    is_white_only,
     key_successors,
     ladder,
     render_forest,
@@ -26,7 +25,8 @@ from mockingbird.oracle import all_combinators
 from mockingbird.posets import ExplorationError
 from mockingbird.rewrite import explore_component, load_system, step_successors
 from mockingbird.terms import TermError, parse_term
-from tests_util import fire_redex, fr_map_recursive, progressing_redexes
+from tests_util import (fire_redex, fr_map_recursive, is_white_only, progressing_redexes,
+                        right_comb)
 
 SYS_M = load_system("builtin:M")
 
@@ -113,8 +113,7 @@ class TestProgressingRedexes:
             assert len(fired) == len(progressing_redexes(t))
 
     def test_redex_count_equals_white_count(self):
-        from mockingbird.forests import white_count
-        from tests_util import random_m_term
+        from tests_util import random_m_term, white_count
 
         rng = random.Random(32)
         for _ in range(500):
@@ -154,6 +153,25 @@ class TestStringKeys:
             assert set(fired) == step_successors(SYS_M, t) - {t}
             assert fr_key(key) == compact_key(fr_map_recursive(t))
             assert fr_map(t) == fr_map_recursive(t)
+
+    @pytest.mark.parametrize("variables", [0, 2])
+    def test_pair_step_matches_flat_step(self, variables):
+        # the transport steps an element as the pair of its sides; joined
+        # back, its successors are the flat step's, in the same order
+        from tests_util import random_m_term
+
+        rng = random.Random(35 + variables)
+        for _ in range(500):
+            key, _ = encode_term(random_m_term(rng, rng.randint(1, 6), variables))
+            steps, seen, frontier = {}, {key}, [key]
+            while frontier:
+                u = frontier.pop()
+                end = bridge._subterm_end(u, 1)
+                pairs = bridge._pair_successors((u[1:end], u[end:]), steps)
+                flat = key_redex_successors(u)
+                assert ["." + a + b for a, b in pairs] == flat
+                frontier += [v for v in flat if v not in seen]
+                seen.update(flat)
 
     def test_erase_black(self):
         assert erase_black("") == ""
@@ -223,7 +241,7 @@ class TestIsomorphism:
             rep = verify_fr_isomorphism(right_comb(d))
             assert rep.term_count == sizes[d]
 
-    @pytest.mark.parametrize("text", ["Mx1", "M(x1(M(MM)))", "x1(M(Mx2))"])
+    @pytest.mark.parametrize("text", ["x1", "Mx1", "M(x1(M(MM)))", "x1(M(Mx2))"])
     def test_terms_with_variables(self, text):
         t = parse_term(text, {"M"})
         rep = verify_fr_isomorphism(t)
@@ -260,6 +278,19 @@ class TestIsomorphism:
         assert terms.render_term(culprit) == match.group(2)
         assert culprit in explore_component(SYS_M, t, "up").nodes
 
+    def test_steps_each_distinct_side_once(self, monkeypatch):
+        # the 1,806 elements of up(r5) are pairs of sides from up(r4) and M
+        stepped = []
+
+        def step(key):
+            stepped.append(key)
+            return key_redex_successors(key)
+
+        monkeypatch.setattr(bridge, "key_redex_successors", step)
+        rep = verify_fr_isomorphism(right_comb(5))
+        assert rep.term_count == 1806
+        assert len(stepped) == len(set(stepped)) == 43
+
     def test_budget_exhaustion(self):
         with pytest.raises(ExplorationError):
             verify_fr_isomorphism(right_comb(5), budget=100)
@@ -271,5 +302,13 @@ class TestIsomorphism:
         assert rep.term_count == 1
 
     def test_deep_right_comb_hits_budget_not_recursion_limit(self):
-        with pytest.raises(ExplorationError):
+        # its side r1199 is a step of 1,199 redexes x 2,399 symbols
+        with pytest.raises(ExplorationError, match="budget"):
             verify_fr_isomorphism(right_comb(1200), budget=10)
+
+    def test_side_too_large_to_step(self):
+        # the side r2999 would build 2,999 copies of a 5,999-symbol key
+        start = time.perf_counter()
+        with pytest.raises(ExplorationError, match="too large to step"):
+            verify_fr_isomorphism(right_comb(3000))
+        assert time.perf_counter() - start < 5

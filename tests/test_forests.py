@@ -5,26 +5,21 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, strategies as st
 
-from mockingbird.bridge import fr_map, right_comb
+from mockingbird.bridge import fr_map
 from mockingbird.forests import (
     BLACK,
     EMPTY,
     WHITE,
     ForestError,
     IncompatibleForests,
-    black_count,
     compact_key,
-    forest_height,
     forest_upset,
-    is_white_only,
     join,
     key_successors,
     ladder,
     meet,
-    node_count,
     parse_forest,
     render_forest,
-    white_count,
 )
 from mockingbird.posets import (
     DEFAULT_BUDGET,
@@ -32,7 +27,17 @@ from mockingbird.posets import (
     explore,
     poset_analysis,
 )
-from tests_util import brute_glb, brute_lub, forest_step_successors
+from tests_util import (
+    black_count,
+    brute_glb,
+    brute_lub,
+    forest_height,
+    forest_step_successors,
+    is_white_only,
+    node_count,
+    right_comb,
+    white_count,
+)
 
 F = parse_forest
 

@@ -5,7 +5,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mockingbird.bridge import right_comb, term_key
+from mockingbird.bridge import term_key
 from mockingbird.oracle import all_combinators
 from mockingbird.posets import poset_analysis
 from mockingbird.rewrite import (
@@ -26,6 +26,7 @@ from tests_util import (
     predecessor_set,
     random_m_term,
     render_full,
+    right_comb,
     successor_list,
     term_metrics,
 )

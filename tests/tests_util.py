@@ -5,14 +5,20 @@ full rendering, the forest step on nested tuples, the M step by redex
 paths, the recursive fr, the combinators of a degree built as terms, the
 whole-series operators on truncated series, the catalytic interval rule
 by recursion and by its literal binomial sum, and least upper and greatest
-lower bounds from explicit reachability."""
+lower bounds from explicit reachability.  Also the right combs, the forest
+metrics, and the brute-force in-degree, down-set size and meet-decomposition
+counts of a forest upset."""
 
 from dataclasses import dataclass
+from itertools import accumulate, product
 from math import comb
 
 from mockingbird import sequences
-from mockingbird.forests import BLACK, EMPTY, WHITE
-from mockingbird.posets import ExplorationError, explore
+from mockingbird.forests import (BLACK, EMPTY, WHITE, DupForest, compact_key,
+                                 forest_upset, meet)
+from mockingbird.oracle import OracleError
+from mockingbird.posets import (ExplorationError, ExploredPoset, down_sets, explore,
+                                poset_analysis)
 from mockingbird.series import SeriesError, TruncSeries
 from mockingbird.terms import (
     Application,
@@ -75,6 +81,16 @@ def term_metrics(t: Term) -> TermMetrics:
     return TermMetrics(
         degree=sum(isinstance(u, Application) for _, u in nodes),
         height=max(depth for depth, _ in nodes))
+
+
+def right_comb(d: int) -> Term:
+    """M applied to itself d times, associated to the right: r_d = M r_{d-1}."""
+    if d < 0:
+        raise TermError("right comb index must be >= 0")
+    t: Term = _M
+    for _ in range(d):
+        t = app(_M, t)
+    return t
 
 
 def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
@@ -559,3 +575,84 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# ---------------------------------------------------------------------------
+# Forest metrics, read off the compact key
+
+
+def forest_height(f: DupForest) -> int:
+    """Number of nodes on a longest root-to-leaf chain; height(ladder(d)) = d."""
+    # one more than the deepest parenthesis nesting; 0 for the empty forest
+    depths = accumulate((c == "(") - (c == ")") for c in compact_key(f))
+    return max(depths, default=-1) + 1
+
+
+def node_count(f: DupForest) -> int:
+    key = compact_key(f)
+    return len(key) - 2 * key.count("(")
+
+
+def black_count(f: DupForest) -> int:
+    return compact_key(f).count(BLACK)
+
+
+def white_count(f: DupForest) -> int:
+    return compact_key(f).count(WHITE)
+
+
+def is_white_only(f: DupForest) -> bool:
+    return BLACK not in compact_key(f)
+
+
+# ---------------------------------------------------------------------------
+# In-degrees, down-set sizes and meet decompositions in a forest upset
+
+
+def _analyzed_upset(f: DupForest) -> ExploredPoset:
+    return poset_analysis(forest_upset(f), check_lattice=False)
+
+
+def oracle_ni(f: DupForest) -> dict[DupForest, int]:
+    """In-degree of every element of the upset of f under the single-step
+    relation: the number of forests each element covers.  Zero entries are
+    omitted."""
+    g = _analyzed_upset(f)
+    counts: dict[DupForest, int] = {}
+    for i, j in g.nonloop_edges():
+        target = g.nodes[j]
+        counts[target] = counts.get(target, 0) + 1
+    return counts
+
+
+def oracle_ns(f: DupForest) -> dict[DupForest, int]:
+    """Down-set size of every element within the upset of f: the number of
+    elements g with f <= g <= f'."""
+    g = _analyzed_upset(f)
+    down = down_sets(g)
+    return {g.nodes[j]: down[j].bit_count() for j in range(len(g.nodes))}
+
+
+def oracle_md_k(f: DupForest, k: int) -> dict[DupForest, int]:
+    """For every element f' of the upset of f, the number of k-tuples of
+    elements of the upset of f' whose iterated meet equals f'.  Exhaustive
+    over |upset|^k tuples: tiny instances only."""
+    if k < 1:
+        raise OracleError("k must be >= 1")
+    g = _analyzed_upset(f)
+    n = len(g.nodes)
+    out: dict[DupForest, int] = {}
+    for i in range(n):
+        base = g.nodes[i]
+        above = [g.nodes[j] for j in range(n) if g.reach[i] >> j & 1]
+        if len(above) ** k > 1_000_000:
+            raise OracleError("meet-decomposition enumeration is infeasible here")
+        count = 0
+        for combo in product(above, repeat=k):
+            m = combo[0]
+            for x in combo[1:]:
+                m = meet(m, x)
+            if m == base:
+                count += 1
+        out[base] = count
+    return out
