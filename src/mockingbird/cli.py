@@ -118,8 +118,8 @@ def _cmd_check(args) -> int:
         failed = True
     for name, flag in sorted(rewrite.is_hierarchical(system).items()):
         rows.append((f"hierarchical[{name}]", str(flag)))
-    # a walk from a successor stays inside the explored upset, so on a
-    # complete exploration this budget never cuts a walk short
+    # the probe explores the upset again within this budget, so it keeps
+    # the nodes kept here: a pair joins when the two kept up-sets meet
     probe = rewrite.local_confluence_probe(system, term,
                                            join_budget=len(g.nodes))
     rows.append(("confluence pairs", str(probe.pairs_checked)))

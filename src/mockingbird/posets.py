@@ -8,11 +8,14 @@ data: acyclicity, Hasse diagram (transitive reduction), extremal elements,
 and the lattice property.
 
 Reachability is held as one Python integer bitset per node: ``reach[i]`` is
-the up-set of i.  The lattice check uses only these up-sets.  A finite
-non-empty poset is a lattice iff it has a bottom and every pair has a join,
-because the meet of a and b is the join of their common lower bounds, a set
-that holds the bottom.  :func:`down_sets` gives the down-sets as the
-reachability of the reversed step graph.
+the up-set of i, computed by :func:`reachability` over the
+:func:`nonloop_adjacency` of an exploration, complete or truncated (so the
+confluence probe reads its joins off the same code).  The lattice check
+uses only these up-sets.  A finite non-empty poset is a lattice iff it has
+a bottom and every pair has a join, because the meet of a and b is the
+join of their common lower bounds, a set that holds the bottom.
+:func:`down_sets` gives the down-sets as the reachability of the reversed
+step graph.
 """
 
 from __future__ import annotations
@@ -106,7 +109,18 @@ def explore(start: Hashable,
     return ExploredPoset(nodes=nodes, step_edges=edges, is_complete=complete)
 
 
-def _topological_order(n: int, adj: list[list[int]]) -> Optional[list[int]]:
+def nonloop_adjacency(g: ExploredPoset) -> list[list[int]]:
+    """Successor lists of g's step edges without self-loops, for a complete
+    exploration or a truncated one."""
+    adj: list[list[int]] = [[] for _ in g.nodes]
+    for i, j in g.step_edges:
+        if i != j:
+            adj[i].append(j)
+    return adj
+
+
+def _topological_order(adj: list[list[int]]) -> Optional[list[int]]:
+    n = len(adj)
     indeg = [0] * n
     for u in range(n):
         for v in adj[u]:
@@ -123,29 +137,25 @@ def _topological_order(n: int, adj: list[list[int]]) -> Optional[list[int]]:
     return order if len(order) == n else None
 
 
-def _reachability(n: int, adj: list[list[int]],
-                  topo: Optional[list[int]]) -> list[int]:
-    reach = [1 << i for i in range(n)]
-    if topo is not None:
-        for u in reversed(topo):
+def reachability(adj: list[list[int]]) -> tuple[bool, list[int]]:
+    """Whether the digraph adj is acyclic, and its reachability bitsets:
+    reach[i] has bit j iff j is reachable from i, i itself included.
+
+    One pass in reverse topological order when there is one; on a cyclic
+    graph, passes in reverse node order until no bitset grows."""
+    topo = _topological_order(adj)
+    reach = [1 << i for i in range(len(adj))]
+    grew = True
+    while grew:
+        grew = False
+        for u in reversed(topo or range(len(adj))):
             r = reach[u]
             for v in adj[u]:
                 r |= reach[v]
-            reach[u] = r
-        return reach
-    # cyclic fallback: per-node BFS (only hit on small degenerate inputs)
-    for s in range(n):
-        seen = 1 << s
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                bit = 1 << v
-                if not seen & bit:
-                    seen |= bit
-                    stack.append(v)
-        reach[s] = seen
-    return reach
+            if r != reach[u]:
+                reach[u] = r
+                grew = topo is None
+    return topo is not None, reach
 
 
 def poset_analysis(g: ExploredPoset, check_lattice: bool = True) -> ExploredPoset:
@@ -165,14 +175,8 @@ def poset_analysis(g: ExploredPoset, check_lattice: bool = True) -> ExploredPose
         raise IncompleteExplorationError(
             "poset_analysis requires a complete exploration")
     n = len(g.nodes)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in g.step_edges:
-        if i != j:
-            adj[i].append(j)
-
-    topo = _topological_order(n, adj)
-    g.is_acyclic = topo is not None
-    reach = _reachability(n, adj, topo)
+    adj = nonloop_adjacency(g)
+    g.is_acyclic, reach = reachability(adj)
     g.reach = reach
 
     above = 0  # union over i of reach[i] minus i itself
@@ -213,9 +217,8 @@ def down_sets(g: ExploredPoset) -> list[int]:
     This is the reachability of the reversed step graph."""
     if g.reach is None:
         raise ExplorationError("run poset_analysis first")
-    n = len(g.nodes)
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in g.step_edges:
-        if i != j:
+    radj: list[list[int]] = [[] for _ in g.nodes]
+    for i, succs in enumerate(nonloop_adjacency(g)):
+        for j in succs:
             radj[j].append(i)
-    return _reachability(n, radj, _topological_order(n, radj))
+    return reachability(radj)[1]

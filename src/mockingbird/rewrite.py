@@ -1,9 +1,10 @@
 """Combinatory logic systems and one-step rewriting under context closure.
 
-The step, its inverse, the walks and the reduction chain run on prefix keys
-(bridge.term_key), with no recursion over the term; each term handed back
-is decoded once.  Keys sort as fully parenthesized terms, so node order is
-the same in every process, and walks follow the order of the redexes.
+The step, its inverse, the explorations and the reduction chain run on
+prefix keys (bridge.term_key), with no recursion over the term; each term
+handed back is decoded once.  Keys sort as fully parenthesized terms, so
+node order is the same in every process.  The confluence probe explores
+the upset of its term once and reads every pair's join off that graph.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .bridge import _decode, encode_term, key_extremal_flags, term_key
 from .posets import (DEFAULT_BUDGET, MAX_STEP_SIZE, ExplorationError, ExploredPoset,
-                     explore)
+                     explore, nonloop_adjacency, reachability)
 from .terms import (Term, TermError, Variable, basic, contains_basic, parse_term,
                     subterms_preorder, var, variable_indices)
 
@@ -271,49 +272,31 @@ class ConfluenceReport:
         return not self.failures and not self.inconclusive
 
 
-def _walk_up(successors: Callable[[str], list[str]], key: str, budget: int,
-             goal: AbstractSet[str] = frozenset()) -> tuple[set[str], str]:
-    """Breadth-first walk of the upset of a key that keeps at most budget
-    nodes, following successors in redex order.
-
-    Returns the kept nodes and a status: ``found`` as soon as the key or a
-    successor lies in goal, ``truncated`` when a new node would pass the
-    budget, else ``complete``."""
-    seen = {key}
-    if key in goal:
-        return seen, "found"
-    queue = [key]
-    for u in queue:
-        for v in successors(u):
-            if v in goal:
-                return seen, "found"
-            if v not in seen:
-                if len(seen) >= budget:
-                    return seen, "truncated"
-                seen.add(v)
-                queue.append(v)
-    return seen, "complete"
-
-
 def local_confluence_probe(sys: CLSystem, t: Term,
                            join_budget: int = 100_000) -> ConfluenceReport:
-    """For every pair of distinct one-step successors of t, search within
-    join_budget nodes for a common upper bound."""
+    """For every pair of distinct one-step successors of t, look for a
+    common upper bound in one exploration of the upset of t that keeps at
+    most join_budget nodes.
+
+    A pair joins when the two kept up-sets meet.  A pair that does not is a
+    failure when the exploration is complete, and inconclusive when it is
+    not, as is every pair with a successor that the budget left out."""
     rules = _KeyRules(sys, t)
     succs = sorted(set(rules.successors(rules.start)) - {rules.start})
-    report = ConfluenceReport(term=t, pairs_checked=0, joinable_pairs=0)
-    for i, t1 in enumerate(succs[:-1]):
-        up1, status1 = _walk_up(rules.successors, t1, join_budget)
-        for t2 in succs[i + 1:]:
-            report.pairs_checked += 1
-            # walk the upset of t2, stopping at the first meeting point
-            _, status = _walk_up(rules.successors, t2, join_budget, up1)
-            if status == "found":
-                report.joinable_pairs += 1
-            elif "truncated" in (status, status1):
-                report.inconclusive.append((rules.decode(t1), rules.decode(t2)))
-            else:
-                report.failures.append((rules.decode(t1), rules.decode(t2)))
+    if len(succs) < 2:
+        return ConfluenceReport(term=t, pairs_checked=0, joinable_pairs=0)
+    g = explore(rules.start, rules.successors, budget=join_budget, sort_key=str)
+    _, reach = reachability(nonloop_adjacency(g))
+    index = {key: i for i, key in enumerate(g.nodes)}
+    ups = [reach[index[key]] if key in index else 0 for key in succs]
+    apart = [(i, j) for i, up in enumerate(ups)
+             for j in range(i + 1, len(ups)) if not up & ups[j]]
+    pairs = len(succs) * (len(succs) - 1) // 2
+    report = ConfluenceReport(term=t, pairs_checked=pairs,
+                              joinable_pairs=pairs - len(apart))
+    terms = [rules.decode(key) for key in succs] if apart else []
+    unjoined = report.failures if g.is_complete else report.inconclusive
+    unjoined.extend((terms[i], terms[j]) for i, j in apart)
     return report
 
 

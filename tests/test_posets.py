@@ -6,7 +6,9 @@ from mockingbird.posets import (
     ExploredPoset,
     down_sets,
     explore,
+    nonloop_adjacency,
     poset_analysis,
+    reachability,
 )
 from tests_util import brute_glb, brute_lub
 
@@ -85,6 +87,28 @@ def test_explore_matches_two_pass_reference(case, data):
     assert calls == Counter(g.nodes)
     assert (g.nodes, g.step_edges, g.is_complete) == two_pass_explore(
         start, succ.__getitem__, budget, rank.__getitem__, predecessors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(), st.booleans())
+def test_reachability_is_the_transitive_closure(case, complete):
+    n, edges = case
+    g = ExploredPoset(nodes=list(range(n)), step_edges=set(edges),
+                      is_complete=complete)
+    acyclic, reach = reachability(nonloop_adjacency(g))
+    closure = []
+    for s in range(n):
+        seen, stack = {s}, [s]
+        while stack:
+            u = stack.pop()
+            for w, v in edges:
+                if w == u and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        closure.append(sum(1 << v for v in seen))
+    assert reach == closure
+    assert acyclic is not any(u != v and reach[v] >> u & 1
+                              for u, v in edges)
 
 
 @settings(max_examples=300, deadline=None)

@@ -24,6 +24,7 @@ from mockingbird.terms import (Application, app, basic, parse_term, render_term,
 from tests_util import (
     explore_reference,
     predecessor_set,
+    probe_reference,
     random_m_term,
     render_full,
     right_comb,
@@ -44,6 +45,18 @@ def live_applications():
 
 def TM(text):
     return parse_term(text, {"M"})
+
+
+def kept_up_set(g, i):
+    """The nodes of g reachable from node i along its step edges."""
+    seen, stack = {i}, [i]
+    while stack:
+        u = stack.pop()
+        for w, v in g.step_edges:
+            if w == u and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 class TestLoadSystem:
@@ -253,6 +266,77 @@ class TestConfluence:
         assert report.inconclusive
         assert not report.failures
         assert not report.all_joinable
+
+    @staticmethod
+    def fields(report):
+        return (report.pairs_checked, report.joinable_pairs, report.failures,
+                report.inconclusive)
+
+    def test_matches_pairwise_walks_degree_le_5(self):
+        for degree in range(6):
+            for t in all_combinators(degree):
+                assert self.fields(local_confluence_probe(SYS_M, t)) == \
+                    self.fields(probe_reference(SYS_M, t)), render_term(t)
+
+    @pytest.mark.parametrize("name", ["K", "S", "I", "KS"])
+    def test_matches_pairwise_walks_random(self, name):
+        # 200 seeded terms with up to 20 applications over the system and
+        # x1, x2, at budgets 10, 40 and 150: equal reports where the upset
+        # completes within the budget; on truncated ones the same pairs,
+        # each pair called joinable having a common element in the two
+        # kept up-sets
+        system = REFERENCE_SYSTEMS[name]
+        rng = random.Random(name)
+        leaves = [basic(c) for c in sorted(system.alphabet)] * 4 + \
+            [var(1), var(2)]
+
+        def random_term(degree):
+            if degree == 0:
+                return rng.choice(leaves)
+            left = rng.randint(0, degree - 1)
+            return app(random_term(left), random_term(degree - 1 - left))
+
+        complete = truncated = 0
+        for _ in range(200):
+            t, budget = random_term(rng.randint(1, 20)), rng.choice((10, 40, 150))
+            report = local_confluence_probe(system, t, budget)
+            reference = probe_reference(system, t, budget)
+            g = explore_component(system, t, "up", budget=budget)
+            if g.is_complete:
+                complete += 1
+                assert self.fields(report) == self.fields(reference)
+                continue
+            truncated += report.pairs_checked > 0
+            assert report.pairs_checked == reference.pairs_checked
+            succs = sorted(step_successors(system, t) - {t}, key=render_full)
+            unjoined = {frozenset(pair)
+                        for pair in report.failures + report.inconclusive}
+            index = {u: i for i, u in enumerate(g.nodes)}
+            for i, s1 in enumerate(succs):
+                for s2 in succs[i + 1:]:
+                    if frozenset((s1, s2)) not in unjoined:
+                        assert kept_up_set(g, index[s1]) & \
+                            kept_up_set(g, index[s2])
+        assert complete >= 100 and truncated >= 3
+
+    def test_steps_each_kept_node_once(self, monkeypatch):
+        calls = []
+        step = _KeyRules.successors
+
+        def counting_step(rules, key):
+            calls.append(key)
+            return step(rules, key)
+
+        for t, budget in ((TM("M(M(M(MM)))"), 100_000), (right_comb(200), 50)):
+            kept = len(explore_component(SYS_M, t, "up", budget=budget).nodes)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(_KeyRules, "successors", counting_step)
+                report = local_confluence_probe(SYS_M, t, budget)
+            assert len(calls) <= kept + 1
+        assert kept == 50
+        assert report.pairs_checked == len(report.inconclusive) == 19_701
+        assert report.joinable_pairs == 0 and not report.failures
 
 
 class TestExtremal:

@@ -1,11 +1,12 @@
 """Shared helpers for the test suite, and reference implementations that
 the library's code is compared against: the recursive term parser, the
 rewrite step on Term objects with its substitution, pattern matching and
-full rendering, the forest step on nested tuples, the M step by redex
-paths, the recursive fr, the combinators of a degree built as terms, the
-whole-series operators on truncated series, the catalytic interval rule
-by recursion and by its literal binomial sum, and least upper and greatest
-lower bounds from explicit reachability.  Also the right combs, the forest
+full rendering, the confluence probe by pairwise upset walks, the forest
+step on nested tuples, the M step by redex paths, the recursive fr, the
+combinators of a degree built as terms, the whole-series operators on
+truncated series, the catalytic interval rule by recursion and by its
+literal binomial sum, and least upper and greatest lower bounds from
+explicit reachability.  Also the right combs, the forest
 metrics, and the brute-force in-degree, down-set size and meet-decomposition
 counts of a forest upset."""
 
@@ -19,6 +20,7 @@ from mockingbird.forests import (BLACK, EMPTY, WHITE, DupForest, compact_key,
 from mockingbird.oracle import OracleError
 from mockingbird.posets import (ExplorationError, ExploredPoset, down_sets, explore,
                                 poset_analysis)
+from mockingbird.rewrite import ConfluenceReport, _KeyRules
 from mockingbird.series import SeriesError, TruncSeries
 from mockingbird.terms import (
     Application,
@@ -307,6 +309,51 @@ def explore_reference(system, t, direction, budget):
         predecessors = lambda u: predecessor_set(system, u)
     return explore(t, lambda u: successor_list(system, u), budget=budget,
                    sort_key=render_full, predecessors=predecessors)
+
+
+def _walk_up(successors, key, budget, goal=frozenset()):
+    """Breadth-first walk of the upset of a key that keeps at most budget
+    nodes, following successors in redex order.
+
+    Returns the kept nodes and a status: ``found`` as soon as the key or a
+    successor lies in goal, ``truncated`` when a new node would pass the
+    budget, else ``complete``."""
+    seen = {key}
+    if key in goal:
+        return seen, "found"
+    queue = [key]
+    for u in queue:
+        for v in successors(u):
+            if v in goal:
+                return seen, "found"
+            if v not in seen:
+                if len(seen) >= budget:
+                    return seen, "truncated"
+                seen.add(v)
+                queue.append(v)
+    return seen, "complete"
+
+
+def probe_reference(system, t, join_budget=100_000):
+    """local_confluence_probe by walks of its own: the upset of each first
+    successor, then for each pair a walk from the second successor that
+    stops at the first node of the first's upset.  Each walk keeps at most
+    join_budget nodes."""
+    rules = _KeyRules(system, t)
+    succs = sorted(set(rules.successors(rules.start)) - {rules.start})
+    report = ConfluenceReport(term=t, pairs_checked=0, joinable_pairs=0)
+    for i, t1 in enumerate(succs[:-1]):
+        up1, status1 = _walk_up(rules.successors, t1, join_budget)
+        for t2 in succs[i + 1:]:
+            report.pairs_checked += 1
+            _, status = _walk_up(rules.successors, t2, join_budget, up1)
+            if status == "found":
+                report.joinable_pairs += 1
+            elif "truncated" in (status, status1):
+                report.inconclusive.append((rules.decode(t1), rules.decode(t2)))
+            else:
+                report.failures.append((rules.decode(t1), rules.decode(t2)))
+    return report
 
 
 # ---------------------------------------------------------------------------
