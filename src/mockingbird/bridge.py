@@ -1,8 +1,9 @@
 """Translation from Mockingbird terms to duplicative forests and
 verification that the term upset and the forest upset are isomorphic posets.
 
-Terms are handled as prefix keys (strings) and forests as compact keys, and
-both are stepped by string surgery.  The verification transports fr along
+Terms are handled as prefix keys (terms.encode_term) and forests as compact
+keys, and both are stepped by string surgery (rewrite.key_redex_successors,
+forests.key_successors).  The verification transports fr along
 rewrite steps.  It holds each upset element as the pair of the prefix keys
 of its two sides, and steps each distinct side once per call: the sides
 come from the much smaller upsets of the start's two sides.
@@ -12,13 +13,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .forests import BLACK, WHITE, DupForest, key_successors, parse_forest
-from .posets import DEFAULT_BUDGET, MAX_STEP_SIZE, ExplorationError
-from .terms import Application, Basic, Term, TermError, app, basic, render_term
-
-_M = basic("M")
+from .posets import DEFAULT_BUDGET, ExplorationError
+from .rewrite import key_redex_successors
+from .terms import Term, decode_term, encode_term, render_term, subterm_end
 
 
 def fr_map(t: Term) -> DupForest:
@@ -48,72 +48,6 @@ class IsoReport:
         return self.verdict == "isomorphic"
 
 
-# ---------------------------------------------------------------------------
-# Terms as prefix strings
-#
-# "." is an application and each leaf one token from a table, so the string
-# of an application is "." followed by the strings of its two sides and a
-# subterm is a substring.  Over {M} (encode_term), M is "M".
-
-_VARIABLE_TOKENS = 0x100  # first code point handed out to variables
-
-
-def term_key(t: Term, tokens: Mapping[Term, str]) -> str:
-    """Prefix key of t, with tokens[leaf] for each leaf; a leaf missing
-    from the table raises KeyError."""
-    out: list[str] = []
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Application):
-            out.append(".")
-            stack.append(u.right)
-            stack.append(u.left)
-        else:
-            out.append(tokens[u])
-    return "".join(out)
-
-
-class _VariableTokens(dict):
-    """Leaf-to-token table over {M} that gives a new variable the next token."""
-
-    def __missing__(self, u: Term) -> str:
-        if isinstance(u, Basic):
-            raise TermError(f"foreign combinator {u.name} (alphabet is {{M}})")
-        token = self[u] = chr(_VARIABLE_TOKENS + len(self))
-        return token
-
-
-def encode_term(t: Term) -> tuple[str, dict[str, Term]]:
-    """Prefix key of a term over {M}, and the table from token to leaf that
-    decodes it."""
-    try:  # a plain table first: most terms have no variables
-        return term_key(t, {_M: "M"}), {"M": _M}
-    except KeyError:
-        pass
-    tokens = _VariableTokens({_M: "M"})
-    return term_key(t, tokens), {token: u for u, token in tokens.items()}
-
-
-def decode_term(key: str, leaves: dict[str, Term]) -> Term:
-    """The term of a prefix key, given the table from token to leaf."""
-    return _decode(key, leaves, {})
-
-
-def _decode(key: str, leaves: dict[str, Term], shared: dict) -> Term:
-    """decode_term through ``shared``, the table from the two sides of each
-    application built so far to it: calls that share it share subterms."""
-    stack: list[Term] = []
-    for token in reversed(key):
-        if token == ".":
-            sides = stack.pop(), stack.pop()
-            stack.append(shared.get(sides) or shared.setdefault(sides, app(*sides)))
-        else:
-            stack.append(leaves[token])
-    (t,) = stack
-    return t
-
-
 def fr_key(key: str) -> str:
     """Compact forest key of fr_map of the term with this prefix key.
 
@@ -134,62 +68,6 @@ def fr_key(key: str) -> str:
         else:
             stack.append(f"w({right})" if right else "w")
     return stack[0] or ""
-
-
-def _subterm_end(key: str, start: int) -> int:
-    """Where the subterm of a prefix key that starts at ``start`` ends: where
-    its leaves first outnumber its applications."""
-    end, need = start, 1
-    while need:
-        need += 1 if key[end] == "." else -1
-        end += 1
-    return end
-
-
-def key_redex_successors(key: str) -> list[str]:
-    """Prefix keys of the terms one progressing redex away: every ".M<s>"
-    with s != M becomes ".<s><s>" (M M only rewrites to itself).  They are
-    listed by the position of the redex, which is the pre-order of the white
-    nodes that fr_key makes for them, and distinct redexes give distinct
-    terms.  A key whose redexes (M M counted, as the rewrite step counts
-    it) times its length pass MAX_STEP_SIZE raises ExplorationError."""
-    redexes = key.count(".M")
-    if redexes * len(key) > MAX_STEP_SIZE:
-        raise ExplorationError(f"term too large to step: {redexes} redexes "
-                               f"x {len(key)} symbols > {MAX_STEP_SIZE}")
-    out = []
-    i = key.find(".M")
-    while i >= 0:
-        j = i + 2
-        if key[j] != "M":
-            end = _subterm_end(key, j)
-            arg = key[j:end]
-            out.append(f"{key[:i + 1]}{arg}{arg}{key[end:]}")
-        i = key.find(".M", j)
-    return out
-
-
-def key_extremal_flags(key: str) -> tuple[bool, bool]:
-    """Whether the term over {M} with this prefix key is maximal and
-    whether it is minimal in its component, by the factors it avoids.
-
-    A factor M(x1 x2) reads ".M." in the key.  A factor (x1 x2)(x1 x2) is
-    an application whose two sides are equal applications: one pass in
-    reverse records where the subterm at each position ends, which gives
-    both sides of every application, and compares them only when their
-    lengths match."""
-    maximal = ".M." not in key
-    end = [0] * len(key)
-    for i in range(len(key) - 1, -1, -1):
-        if key[i] != ".":
-            end[i] = i + 1
-            continue
-        j = end[i + 1]  # the left side is key[i + 1:j], the right key[j:e]
-        e = end[i] = end[j]
-        if key[i + 1] == "." and j - i - 1 == e - j and \
-                key[i + 1:j] == key[j:e]:
-            return maximal, False
-    return maximal, True
 
 
 def erase_black(key: str) -> str:
@@ -271,7 +149,7 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     order of the prefix key "." + a + b.  The sides come from the upsets of
     the start's two sides, so the steps held are few, while the elements
     are many and share their side strings.  A side too large to step
-    raises ExplorationError (MAX_STEP_SIZE).
+    raises ExplorationError (rewrite.MAX_STEP_SIZE).
 
     Literal fr of an upset element is its transported forest with the black
     nodes erased (erase_black), so fr_injective_on_upset is read off the
@@ -283,21 +161,17 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     then those of the pairs reached before the break.
     """
     start, leaves = encode_term(t)
+    if start[0] != ".":  # a leaf fires no redex, and fr maps it to no node
+        return IsoReport(t, term_count=1, forest_count=1, fr_injective_on_upset=True,
+                         cover_preserving=True, method="fr-transport", verdict="isomorphic")
     start_key = fr_key(start)
     consistent = True
     detail = ""
-    queue: deque[tuple[str, str]] = deque()
-    if start[0] == ".":
-        end = _subterm_end(start, 1)
-        root: str | tuple[str, str] = (start[1:end], start[end:])
-        queue.append(root)
-    else:  # a leaf fires no redex, so its forest may have no white node
-        root = start
-        if key_successors(start_key):
-            consistent = False
-            detail = f"out-degree mismatch at {render_term(t)}"
+    end = subterm_end(start, 1)
+    root = start[1:end], start[end:]
+    queue = deque([root])
     assignment = {root: start_key}
-    forest_keys: set[str] = {start_key}
+    forest_keys = {start_key}
     steps: dict[str, list[str]] = {}  # key_redex_successors of each side
 
     def name(u: tuple[str, str]) -> str:

@@ -25,6 +25,10 @@ from .posets import (
 )
 from .terms import Term, TermError, parse_term, render_term
 
+# graph and check decide the lattice property of a complete upset only up
+# to this many nodes: past it, is_lattice is null and check says "skipped"
+LATTICE_CHECK_NODES = 2000
+
 
 def export_graph(g: ExploredPoset, format: str = "json",
                  hasse_only: bool = False) -> str:
@@ -76,6 +80,15 @@ def _parse_with_system(args) -> tuple[rewrite.CLSystem, Term]:
     return system, parse_term(args.term, system.alphabet)
 
 
+def _explore_upset(args) -> tuple[rewrite.CLSystem, Term, ExploredPoset]:
+    """The system, the term and its explored upset, analysed if complete."""
+    system, term = _parse_with_system(args)
+    g = rewrite.explore_component(system, term, "up", budget=args.budget)
+    if g.is_complete:
+        poset_analysis(g, check_lattice=len(g.nodes) <= LATTICE_CHECK_NODES)
+    return system, term, g
+
+
 def _cmd_reduce(args) -> int:
     if args.max_steps < 0:
         raise ValueError(f"--max-steps must be >= 0, got {args.max_steps}")
@@ -89,11 +102,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    system, term = _parse_with_system(args)
-    g = rewrite.explore_component(system, term, "up", budget=args.budget)
-    if g.is_complete:
-        poset_analysis(g, check_lattice=len(g.nodes) <= 2000)
-    elif args.hasse:
+    _, _, g = _explore_upset(args)
+    if not g.is_complete and args.hasse:
         print("error: budget exhausted, no Hasse diagram", file=sys.stderr)
         return 2
     print(export_graph(g, format=args.format, hasse_only=args.hasse))
@@ -101,13 +111,11 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    system, term = _parse_with_system(args)
-    g = rewrite.explore_component(system, term, "up", budget=args.budget)
+    system, term, g = _explore_upset(args)
     rows: list[tuple[str, str]] = []
     failed = False
     rows.append(("complete", str(g.is_complete)))
     if g.is_complete:
-        poset_analysis(g, check_lattice=len(g.nodes) <= 2000)
         rows.append(("nodes", str(len(g.nodes))))
         rows.append(("acyclic", str(g.is_acyclic)))
         rows.append(("rooted (unique minimal)", str(len(g.minimal) == 1)))

@@ -9,10 +9,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .bridge import _decode, key_extremal_flags
 from .forests import compact_key, key_successors, ladder
 from .posets import explore, poset_analysis
-from .terms import Term, basic
+from .rewrite import key_extremal_flags
 
 
 class OracleError(ValueError):
@@ -87,7 +86,7 @@ def _ladder_stream_counts(d: int) -> tuple[int, int]:
 # Extremal census over all combinators of a degree
 
 def combinator_keys(degree: int) -> list[str]:
-    """Prefix keys (bridge.encode_term) of all binary application trees
+    """Prefix keys (terms.encode_term) of all binary application trees
     with the given number of applications over the single leaf M (Catalan
     many), by the degree of the left subtree, then left, then right."""
     if degree < 0:
@@ -101,12 +100,6 @@ def combinator_keys(degree: int) -> list[str]:
             for right in levels[d - 1 - i]
         ])
     return levels[degree]
-
-
-def all_combinators(degree: int) -> list[Term]:
-    """The terms of combinator_keys(degree), in order, sharing subterms."""
-    leaves, shared = {"M": basic("M")}, {}
-    return [_decode(key, leaves, shared) for key in combinator_keys(degree)]
 
 
 def oracle_extremal_census(degree: int) -> dict[str, int]:

@@ -26,14 +26,6 @@ from typing import Any, Callable, Hashable, Iterable, Optional
 
 DEFAULT_BUDGET = 10_000_000
 
-# A rewrite step builds about one copy of the key per redex.  Past this
-# bound on redexes x key length a walk ends in neither useful time nor
-# memory, as from a 3,000-deep M(M(...)): 30 ms a step, and the keys keep
-# growing.  The largest step in the upset of the right comb M(M(M(M(MM))))
-# is 1,008.  Both the rewrite step and the fr-transport's term step refuse
-# a larger one with ExplorationError.
-MAX_STEP_SIZE = 1 << 22
-
 
 class ExplorationError(ValueError):
     pass

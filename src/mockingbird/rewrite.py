@@ -1,10 +1,11 @@
 """Combinatory logic systems and one-step rewriting under context closure.
 
 The step, its inverse, the explorations and the reduction chain run on
-prefix keys (bridge.term_key), with no recursion over the term; each term
+prefix keys (terms.term_key), with no recursion over the term; each term
 handed back is decoded once.  Keys sort as fully parenthesized terms, so
 node order is the same in every process.  The confluence probe explores
 the upset of its term once and reads every pair's join off that graph.
+The M step that the fr-transport runs refuses by the same MAX_STEP_SIZE.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NoReturn
 
-from .bridge import _decode, encode_term, key_extremal_flags, term_key
-from .posets import (DEFAULT_BUDGET, MAX_STEP_SIZE, ExplorationError, ExploredPoset,
-                     explore, nonloop_adjacency, reachability)
-from .terms import (Term, TermError, Variable, basic, contains_basic, parse_term,
-                    subterms_preorder, var, variable_indices)
+from .posets import (DEFAULT_BUDGET, ExplorationError, ExploredPoset, explore,
+                     nonloop_adjacency, reachability)
+from .terms import (Term, TermError, Variable, basic, contains_basic, decode_term,
+                    encode_term, parse_term, subterm_end, subterm_ends,
+                    subterms_preorder, term_key, var, variable_indices)
 
 
 class SystemError_(TermError):
@@ -100,18 +101,22 @@ def load_system(text: str) -> CLSystem:
 
 
 # ---------------------------------------------------------------------------
-# The rewrite step on prefix keys (bridge.term_key)
+# The rewrite step on prefix keys (terms.term_key)
+
+# A rewrite step builds about one copy of the key per redex.  Past this
+# bound on redexes x key length a walk ends in neither useful time nor
+# memory, as from a 3,000-deep M(M(...)): 30 ms a step, and the keys keep
+# growing.  The largest step in the upset of the right comb M(M(M(M(MM))))
+# is 1,008.  Both steps below compare inline and refuse a larger one.
+MAX_STEP_SIZE = 1 << 22
+
+
+def _refuse_step(redexes: int, key: str) -> NoReturn:
+    raise ExplorationError(f"term too large to step: {redexes} redexes "
+                           f"x {len(key)} symbols > {MAX_STEP_SIZE}")
+
 
 _FIRST_TOKEN = ord("A")  # the token of the leaf whose name sorts first
-
-
-def _subterm_ends(key: str) -> list[int]:
-    """end[i] is where the subterm that starts at position i ends."""
-    end = list(range(1, len(key) + 1))
-    for i in range(len(key) - 2, -1, -1):
-        if key[i] == ".":
-            end[i] = end[end[i + 1]]
-    return end
 
 
 class _KeyRules:
@@ -148,17 +153,16 @@ class _KeyRules:
             raise SystemError_(f"no rule for combinator {exc.args[0]}") from None
 
     def decode(self, key: str) -> Term:
-        return _decode(key, self.leaves, self.shared)
+        return decode_term(key, self.leaves, self.shared)
 
     def successors(self, key: str) -> list[str]:
         """Keys one step from key, in the order of the redexes (self-loops
         kept)."""
         matches = list(self.redex.finditer(key))
         if len(matches) * len(key) > MAX_STEP_SIZE:
-            raise ExplorationError(f"term too large to step: {len(matches)} "
-                                   f"redexes x {len(key)} symbols > {MAX_STEP_SIZE}")
+            _refuse_step(len(matches), key)
         out = []
-        end = _subterm_ends(key)
+        end = subterm_ends(key)
         for match in matches:
             n, rhs, _ = self.rules[key[match.end() - 1]]
             args, pos = [], match.end()
@@ -176,7 +180,7 @@ class _KeyRules:
             raise SystemError_(f"predecessors are infinite: rhs of "
                                f"{self.erasing} omits a variable")
         out = []
-        end = _subterm_ends(key)
+        end = subterm_ends(key)
         for i in range(len(key)):
             for head, (n, _, pattern) in self.rules.items():
                 args, pos = [""] * n, i
@@ -193,6 +197,30 @@ class _KeyRules:
                 else:
                     out.append(f"{key[:i]}{'.' * n}{head}{''.join(args)}{key[pos:]}")
         return out
+
+
+def key_redex_successors(key: str) -> list[str]:
+    """Prefix keys (terms.encode_term) of the terms over {M} one progressing
+    redex away: every ".M<s>" with s != M becomes ".<s><s>" (M M only
+    rewrites to itself).  They are listed by the position of the redex,
+    which is the pre-order of the white nodes that bridge.fr_key makes for
+    them, and distinct redexes give distinct terms.  A key whose redexes
+    (M M counted, as the rewrite step counts it) times its length pass
+    MAX_STEP_SIZE raises ExplorationError.  Kept apart from _KeyRules for
+    the fr-transport's many sides: no regular expression, no end table."""
+    redexes = key.count(".M")
+    if redexes * len(key) > MAX_STEP_SIZE:
+        _refuse_step(redexes, key)
+    out = []
+    i = key.find(".M")
+    while i >= 0:
+        j = i + 2
+        if key[j] != "M":
+            end = subterm_end(key, j)
+            arg = key[j:end]
+            out.append(f"{key[:i + 1]}{arg}{arg}{key[end:]}")
+        i = key.find(".M", j)
+    return out
 
 
 def step_successors(sys: CLSystem, t: Term) -> set[Term]:
@@ -304,10 +332,33 @@ def local_confluence_probe(sys: CLSystem, t: Term,
 # Extremal elements of the Mockingbird poset by pattern avoidance
 
 
+def key_extremal_flags(key: str) -> tuple[bool, bool]:
+    """Whether the term over {M} with this prefix key is maximal and
+    whether it is minimal in its component, by the factors it avoids.
+
+    A factor M(x1 x2) reads ".M." in the key.  A factor (x1 x2)(x1 x2) is
+    an application whose two sides are equal applications: one pass in
+    reverse records where the subterm at each position ends, which gives
+    both sides of every application, and compares them only when their
+    lengths match."""
+    maximal = ".M." not in key
+    end = [0] * len(key)
+    for i in range(len(key) - 1, -1, -1):
+        if key[i] != ".":
+            end[i] = i + 1
+            continue
+        j = end[i + 1]  # the left side is key[i + 1:j], the right key[j:e]
+        e = end[i] = end[j]
+        if key[i + 1] == "." and j - i - 1 == e - j and \
+                key[i + 1:j] == key[j:e]:
+            return maximal, False
+    return maximal, True
+
+
 def extremal_by_pattern(t: Term) -> dict[str, bool]:
     """Maximality/minimality of an M-combinator by factor avoidance:
     maximal avoids M(x1 x2) and minimal avoids (x1 x2)(x1 x2).  Read off
-    the prefix key (bridge.key_extremal_flags), so any depth answers."""
+    the prefix key (key_extremal_flags), so any depth answers."""
     try:
         key, leaves = encode_term(t)
     except TermError as exc:  # a foreign combinator

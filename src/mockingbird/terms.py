@@ -7,17 +7,17 @@ hash, and with it the iteration order of every term set, is the same in
 every process whatever ``PYTHONHASHSEED`` is.
 Leaves are interned for the life of the process; applications are not, so
 a term is freed once dropped.  A walk shares equal subterms through a table
-of its own (bridge._decode).  Equality is structural and runs over a stack
-of pairs, so terms built apart compare at any depth.
+of its own (decode_term's ``shared``).  Equality is structural and runs over
+a stack of pairs, so terms built apart compare at any depth.
 
 The parser and the printer each read any depth in one pass, without
 recursion.  Rewriting, substitution and pattern matching run on prefix
-keys (rewrite, bridge), not on terms.
+keys (term_key, encode_term; stepped in rewrite), not on terms.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 
 class TermError(ValueError):
@@ -223,3 +223,83 @@ def subterms_preorder(t: Term) -> Iterator[tuple[int, Term]]:
         if isinstance(u, Application):
             stack.append((depth + 1, u.right))
             stack.append((depth + 1, u.left))
+
+
+# ---------------------------------------------------------------------------
+# Terms as prefix keys
+#
+# "." is an application and each leaf one token from a table, so the key
+# of an application is "." followed by the keys of its two sides and a
+# subterm is a substring.  Over {M} (encode_term), M is "M".
+
+_VARIABLE_TOKENS = 0x100  # first code point handed out to variables
+
+
+def term_key(t: Term, tokens: Mapping[Term, str]) -> str:
+    """Prefix key of t, with tokens[leaf] for each leaf; a leaf missing
+    from the table raises KeyError."""
+    out: list[str] = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Application):
+            out.append(".")
+            stack.append(u.right)
+            stack.append(u.left)
+        else:
+            out.append(tokens[u])
+    return "".join(out)
+
+
+class _VariableTokens(dict):
+    """Leaf-to-token table over {M} that gives a new variable the next token."""
+
+    def __missing__(self, u: Term) -> str:
+        if isinstance(u, Basic):
+            raise TermError(f"foreign combinator {u.name} (alphabet is {{M}})")
+        token = self[u] = chr(_VARIABLE_TOKENS + len(self))
+        return token
+
+
+def encode_term(t: Term) -> tuple[str, dict[str, Term]]:
+    """Prefix key of a term over {M}, and the table from token to leaf that
+    decodes it."""
+    tokens = _VariableTokens({basic("M"): "M"})
+    return term_key(t, tokens), {token: u for u, token in tokens.items()}
+
+
+def decode_term(key: str, leaves: Mapping[str, Term],
+                shared: Optional[dict] = None) -> Term:
+    """The term of a prefix key, given the table from token to leaf.
+    ``shared`` is the table from the two sides of each application built
+    so far to it: calls that share it share subterms."""
+    shared = {} if shared is None else shared
+    stack: list[Term] = []
+    for token in reversed(key):
+        if token == ".":
+            sides = stack.pop(), stack.pop()
+            stack.append(shared.get(sides) or shared.setdefault(sides, app(*sides)))
+        else:
+            stack.append(leaves[token])
+    (t,) = stack
+    return t
+
+
+def subterm_end(key: str, start: int) -> int:
+    """Where the subterm of a prefix key that starts at ``start`` ends: where
+    its leaves first outnumber its applications."""
+    end, need = start, 1
+    while need:
+        need += 1 if key[end] == "." else -1
+        end += 1
+    return end
+
+
+def subterm_ends(key: str) -> list[int]:
+    """end[i] is where the subterm of a prefix key that starts at position
+    i ends."""
+    end = list(range(1, len(key) + 1))
+    for i in range(len(key) - 2, -1, -1):
+        if key[i] == ".":
+            end[i] = end[end[i + 1]]
+    return end

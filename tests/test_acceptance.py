@@ -17,7 +17,7 @@ from mockingbird.cli import main as cli_main
 from mockingbird.forests import compact_key, forest_upset, join, ladder, meet, parse_forest
 from mockingbird.posets import down_sets, poset_analysis
 from mockingbird.terms import parse_term
-from tests_util import oracle_ni, oracle_ns, term_metrics
+from tests_util import all_combinators, oracle_ni, oracle_ns, term_metrics
 
 SYS_M = rewrite.load_system("builtin:M")
 GATED = bool(os.environ.get("MOCKINGBIRD_RUN_GATED"))
@@ -87,7 +87,7 @@ def _check_lattice_operations(base):
 def test_criterion_4_lattice_property():
     # term upsets of every combinator of degree <= 5 are lattices
     for degree in range(6):
-        for t in oracle.all_combinators(degree):
+        for t in all_combinators(degree):
             g = rewrite.explore_component(SYS_M, t, "up")
             poset_analysis(g)
             assert g.is_lattice
@@ -96,7 +96,7 @@ def test_criterion_4_lattice_property():
     # upsets of the same combinators (deduplicated) and the ladders to d=4
     bases = {compact_key(ladder(d)): ladder(d) for d in range(5)}
     for degree in range(6):
-        for t in oracle.all_combinators(degree):
+        for t in all_combinators(degree):
             f = bridge.fr_map(t)
             bases.setdefault(compact_key(f), f)
     for base in bases.values():
@@ -105,14 +105,14 @@ def test_criterion_4_lattice_property():
 
 def test_criterion_5_isomorphism_degree_le_5():
     for degree in range(6):
-        for t in oracle.all_combinators(degree):
+        for t in all_combinators(degree):
             rep = bridge.verify_fr_isomorphism(t)
             assert rep.isomorphic, (terms.render_term(t), rep.verdict)
             assert rep.term_count == rep.forest_count
 
 
 def test_criterion_5b_isomorphism_degree_6():
-    for t in oracle.all_combinators(6):
+    for t in all_combinators(6):
         rep = bridge.verify_fr_isomorphism(t)
         assert rep.isomorphic, (terms.render_term(t), rep.verdict)
         assert rep.term_count == rep.forest_count
@@ -152,14 +152,14 @@ def test_criterion_8_ni_ns_spot_values():
 def test_criterion_9_property_suites():
     # height preservation under one step, all combinators of degree <= 8
     for degree in range(9):
-        for t in oracle.all_combinators(degree):
+        for t in all_combinators(degree):
             h = term_metrics(t).height
             assert all(term_metrics(u).height == h
                        for u in rewrite.step_successors(SYS_M, t))
 
     # acyclicity and unique extremes of every explored component (deg <= 5)
     for degree in range(6):
-        for t in oracle.all_combinators(degree):
+        for t in all_combinators(degree):
             g = rewrite.explore_component(SYS_M, t, "up")
             poset_analysis(g, check_lattice=False)
             assert g.is_acyclic
@@ -170,7 +170,7 @@ def test_criterion_9_property_suites():
 
     # every divergence joins (local confluence), degree <= 5
     for degree in range(6):
-        for t in oracle.all_combinators(degree):
+        for t in all_combinators(degree):
             assert rewrite.local_confluence_probe(SYS_M, t).all_joinable
 
     # cover equals single step on the ladder upsets

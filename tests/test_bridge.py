@@ -6,12 +6,9 @@ import pytest
 
 from mockingbird import bridge, terms
 from mockingbird.bridge import (
-    decode_term,
-    encode_term,
     erase_black,
     fr_key,
     fr_map,
-    key_redex_successors,
     verify_fr_isomorphism,
 )
 from mockingbird.forests import (
@@ -21,12 +18,12 @@ from mockingbird.forests import (
     ladder,
     render_forest,
 )
-from mockingbird.oracle import all_combinators
 from mockingbird.posets import ExplorationError
-from mockingbird.rewrite import explore_component, load_system, step_successors
-from mockingbird.terms import TermError, parse_term
-from tests_util import (fire_redex, fr_map_recursive, is_white_only, progressing_redexes,
-                        right_comb)
+from mockingbird.rewrite import (explore_component, key_redex_successors, load_system,
+                                 step_successors)
+from mockingbird.terms import TermError, decode_term, encode_term, parse_term, subterm_end
+from tests_util import (all_combinators, fire_redex, fr_map_recursive, is_white_only,
+                        progressing_redexes, right_comb)
 
 SYS_M = load_system("builtin:M")
 
@@ -166,7 +163,7 @@ class TestStringKeys:
             steps, seen, frontier = {}, {key}, [key]
             while frontier:
                 u = frontier.pop()
-                end = bridge._subterm_end(u, 1)
+                end = subterm_end(u, 1)
                 pairs = bridge._pair_successors((u[1:end], u[end:]), steps)
                 flat = key_redex_successors(u)
                 assert ["." + a + b for a, b in pairs] == flat

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import mockingbird
 from mockingbird import oracle, rewrite
-from mockingbird.cli import export_graph, main
-from mockingbird.posets import IncompleteExplorationError, poset_analysis
+from mockingbird.bridge import verify_fr_isomorphism
+from mockingbird.cli import LATTICE_CHECK_NODES, export_graph, main
+from mockingbird.posets import ExplorationError, IncompleteExplorationError, poset_analysis
 from mockingbird.rewrite import explore_component, load_system
 from mockingbird.terms import parse_term
-from tests_util import FUZZ_PIECES, forbid_sequence_solvers
+from tests_util import FUZZ_PIECES, forbid_sequence_solvers, right_comb
 
 SYS_M = load_system("builtin:M")
 
@@ -207,6 +209,20 @@ class TestReduceCheckFr:
         assert "hierarchical[K]" in out
         assert "hierarchical[S]" in out
 
+    def test_large_upset_skips_the_lattice_check(self, capsys):
+        # a complete upset past LATTICE_CHECK_NODES is analysed, but its
+        # lattice property is not decided
+        term = "M(M(M(M(MM))))(M(MM))"
+        code, out, err = run(capsys, "check", term)
+        assert (code, err) == (0, "")
+        assert re.search(r"^nodes +3612$", out, re.M)
+        assert re.search(r"^lattice +skipped \(too large\)$", out, re.M)
+        code, out, err = run(capsys, "graph", term)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert len(payload["nodes"]) == 3612 > LATTICE_CHECK_NODES
+        assert payload["flags"]["is_lattice"] is None
+
 
 class TestOracleCommand:
     def test_d3(self, capsys):
@@ -371,6 +387,32 @@ class TestDeepTerms:
         assert code == 0
         assert out == "w(" * 2998 + "w" + ")" * 2998 + "\n"
         assert err == ""
+
+    def test_transport_and_check_share_the_refusal(self, capsys):
+        # the fr-transport's side step and the rewrite step refuse with one
+        # message, naming the key that each was handed
+        refusal = (r"term too large to step: \d+ redexes x \d+ symbols > "
+                   f"{rewrite.MAX_STEP_SIZE}")
+        with pytest.raises(ExplorationError) as exc:
+            verify_fr_isomorphism(right_comb(3000))
+        assert re.fullmatch(refusal, str(exc.value))
+        code, out, err = run(capsys, "check", self.NESTED)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(f"error: {refusal}\n", err)
+
+
+def test_rewrite_and_oracle_load_without_bridge():
+    # the prefix keys live in terms and the step in rewrite, so neither
+    # rewrite nor oracle needs the fr bridge
+    src = str(Path(mockingbird.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mockingbird.rewrite, "
+         "mockingbird.oracle; print(sorted(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120, check=True)
+    assert "'mockingbird.rewrite'" in proc.stdout
+    assert "'mockingbird.oracle'" in proc.stdout
+    assert "'mockingbird.bridge'" not in proc.stdout
 
 
 # random term text, left spines and right combs of any depth up to 5,000

@@ -11,14 +11,14 @@ from mockingbird.forests import (
 )
 from mockingbird.oracle import (
     OracleError,
-    all_combinators,
     oracle_extremal_census,
     oracle_poset_counts,
 )
 from mockingbird.posets import poset_analysis
 from mockingbird.sequences import interval_family
 from mockingbird.series import solve_interval_family
-from tests_util import all_combinators_nested, oracle_md_k, oracle_ni, oracle_ns
+from tests_util import (all_combinators, all_combinators_nested, oracle_md_k, oracle_ni,
+                        oracle_ns)
 
 F = parse_forest
 

@@ -5,8 +5,6 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mockingbird.bridge import term_key
-from mockingbird.oracle import all_combinators
 from mockingbird.posets import poset_analysis
 from mockingbird.rewrite import (
     SystemError_,
@@ -20,8 +18,9 @@ from mockingbird.rewrite import (
     step_successors,
 )
 from mockingbird.terms import (Application, app, basic, parse_term, render_term,
-                               subterms_preorder, var)
+                               subterms_preorder, term_key, var)
 from tests_util import (
+    all_combinators,
     explore_reference,
     predecessor_set,
     probe_reference,

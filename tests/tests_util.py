@@ -3,7 +3,8 @@ the library's code is compared against: the recursive term parser, the
 rewrite step on Term objects with its substitution, pattern matching and
 full rendering, the confluence probe by pairwise upset walks, the forest
 step on nested tuples, the M step by redex paths, the recursive fr, the
-combinators of a degree built as terms, the whole-series operators on
+combinators of a degree built as terms (decoded from their keys, and level
+by level), the whole-series operators on
 truncated series, the catalytic interval rule by recursion and by its
 literal binomial sum, and least upper and greatest lower bounds from
 explicit reachability.  Also the right combs, the forest
@@ -17,7 +18,7 @@ from math import comb
 from mockingbird import sequences
 from mockingbird.forests import (BLACK, EMPTY, WHITE, DupForest, compact_key,
                                  forest_upset, meet)
-from mockingbird.oracle import OracleError
+from mockingbird.oracle import OracleError, combinator_keys
 from mockingbird.posets import (ExplorationError, ExploredPoset, down_sets, explore,
                                 poset_analysis)
 from mockingbird.rewrite import ConfluenceReport, _KeyRules
@@ -31,6 +32,7 @@ from mockingbird.terms import (
     Variable,
     app,
     basic,
+    decode_term,
     subterms_preorder,
     var,
 )
@@ -56,10 +58,17 @@ def random_m_term(rng, degree, variables=0):
                random_m_term(rng, degree - 1 - left_degree, variables))
 
 
+def all_combinators(degree):
+    """The terms of oracle.combinator_keys(degree), in order, sharing
+    subterms."""
+    leaves, shared = {"M": basic("M")}, {}
+    return [decode_term(key, leaves, shared) for key in combinator_keys(degree)]
+
+
 def all_combinators_nested(degree):
     """All binary application trees with the given number of applications
     over the single leaf M, built as terms level by level: the reference
-    for the order of ``oracle.all_combinators``."""
+    for the order of ``all_combinators``."""
     levels = [[_M]]
     for d in range(1, degree + 1):
         levels.append([
