@@ -83,7 +83,7 @@ def _parse_with_system(args) -> tuple[rewrite.CLSystem, Term]:
 def _explore_upset(args) -> tuple[rewrite.CLSystem, Term, ExploredPoset]:
     """The system, the term and its explored upset, analysed if complete."""
     system, term = _parse_with_system(args)
-    g = rewrite.explore_component(system, term, "up", budget=args.budget)
+    g = rewrite.explore_component(system, term, budget=args.budget)
     if g.is_complete:
         poset_analysis(g, check_lattice=len(g.nodes) <= LATTICE_CHECK_NODES)
     return system, term, g

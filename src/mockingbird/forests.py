@@ -149,7 +149,7 @@ def forest_upset(f: DupForest, budget: int = DEFAULT_BUDGET) -> ExploredPoset:
     black count strictly increases along every step.  The walk runs on
     compact keys; each node is parsed back once, through a table of equal
     subtrees local to this call, so the nodes share structure."""
-    g = explore(compact_key(f), key_successors, budget=budget, sort_key=str)
+    g = explore(compact_key(f), key_successors, budget=budget)
     trees: dict[str, DupTree] = {}
     g.nodes = [_parse(key, trees) for key in g.nodes]
     return g

@@ -53,8 +53,8 @@ def oracle_poset_counts(d: int) -> OracleCounts:
         return OracleCounts(d=d, elements=elements, hasse_edges=step_edges,
                             intervals=None, cover_equals_step=None)
 
-    g = poset_analysis(explore(compact_key(ladder(d)), key_successors,
-                               sort_key=str), check_lattice=False)
+    g = poset_analysis(explore(compact_key(ladder(d)), key_successors),
+                       check_lattice=False)
     return OracleCounts(
         d=d,
         elements=len(g.nodes),

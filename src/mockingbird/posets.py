@@ -61,18 +61,14 @@ class ExploredPoset:
 
 def explore(start: Hashable,
             successors: Callable[[Any], Iterable],
-            sort_key: Callable[[Any], Any],
-            budget: int = DEFAULT_BUDGET,
-            predecessors: Callable[[Any], Iterable] = None) -> ExploredPoset:
+            budget: int = DEFAULT_BUDGET) -> ExploredPoset:
     """Deduplicated breadth-first closure of ``successors`` from ``start``.
 
     One pass over the growing ``nodes`` list, which is the queue: each node's
-    successors are computed once, its fresh neighbours are indexed in
-    ``sort_key`` order (so discovery order is deterministic), and its edges
-    to indexed successors are recorded on the spot.  A neighbour left out
-    for the budget is never indexed later, so no edge is missed.  With
-    ``predecessors``, discovery also follows predecessors (the whole
-    equivalence class), while edges still come from successors only.
+    successors are computed once, its fresh successors are indexed in sorted
+    order (so discovery order is deterministic), and its edges to indexed
+    successors are recorded on the spot.  A successor left out for the
+    budget is never indexed later, so no edge is missed.
     """
     if budget < 1:
         raise ExplorationError("budget must be >= 1")
@@ -84,13 +80,12 @@ def explore(start: Hashable,
 
     for i, u in enumerate(nodes):
         succs = set(successors(u))
-        found = succs if predecessors is None else succs | set(predecessors(u))
-        fresh = [v for v in found if v not in index]
+        fresh = [v for v in succs if v not in index]
         room = budget - len(nodes)
         if len(fresh) > room:
             complete = False
         if fresh and room:
-            for v in sorted(fresh, key=sort_key)[:room]:
+            for v in sorted(fresh)[:room]:
                 index[v] = len(nodes)
                 nodes.append(v)
         for v in succs:

@@ -1,7 +1,7 @@
 """Combinatory logic systems and one-step rewriting under context closure.
 
-The step, its inverse, the explorations and the reduction chain run on
-prefix keys (terms.term_key), with no recursion over the term; each term
+The step, the upset exploration and the reduction chain run on prefix
+keys (terms.term_key), with no recursion over the term; each term
 handed back is decoded once.  Keys sort as fully parenthesized terms, so
 node order is the same in every process.  The confluence probe explores
 the upset of its term once and reads every pair's join off that graph.
@@ -11,7 +11,6 @@ The M step that the fr-transport runs refuses by the same MAX_STEP_SIZE.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NoReturn
 
@@ -55,7 +54,8 @@ def load_system(text: str) -> CLSystem:
 
     Each nonblank line has shape ``NAME ORDER := RHS`` with RHS a term over
     variables only; ``#`` starts a comment.  Names of the form ``builtin:X``
-    resolve to the built-in definitions (M, I, K, S, KS).
+    resolve to the built-in definitions (M, I, K, S, KS).  An order n whose
+    least redex, 2n + 1 symbols, passes MAX_STEP_SIZE is refused.
     """
     source = BUILTIN_SOURCES.get(text.strip(), text)
     if source.lstrip().startswith("builtin:"):
@@ -81,6 +81,9 @@ def load_system(text: str) -> CLSystem:
             raise SystemError_(f"line {lineno}: bad order {order_text!r}") from None
         if order < 1:
             raise SystemError_(f"line {lineno}: order must be >= 1")
+        if 2 * order + 1 > MAX_STEP_SIZE:
+            raise SystemError_(f"line {lineno}: order {order} too large: a redex "
+                               f"has {2 * order + 1} symbols > {MAX_STEP_SIZE}")
         if name in rules:
             raise SystemError_(f"line {lineno}: duplicate rule for {name}")
         try:
@@ -121,13 +124,15 @@ _FIRST_TOKEN = ord("A")  # the token of the leaf whose name sorts first
 
 class _KeyRules:
     """A system compiled for the prefix keys of one term, ``start``, and of
-    every term it rewrites to or from.
+    every term it rewrites to.
 
     Each leaf gets a token in the order of its printed name, so keys sort
     as the fully parenthesized terms do: "." before every token, as "("
     before every name.  A redex of a combinator C of order n reads "." * n
     + C followed by its n arguments; its contractum is the rule's
-    right-hand side as a format template over them."""
+    right-hand side as a format template over them.  The redex pattern
+    counts its dots, and the template numbers only the variables of the
+    right-hand side, so a rule's order costs nothing until the rule fires."""
 
     def __init__(self, sys: CLSystem, t: Term):
         leaves = sorted([basic(name) for name in sys.rules] +
@@ -135,18 +140,14 @@ class _KeyRules:
         self.leaves = {chr(_FIRST_TOKEN + i): u for i, u in enumerate(leaves)}
         self.tokens = {u: token for token, u in self.leaves.items()}
         self.shared: dict = {}  # the sides of each decoded application
-        self.rules = {}  # head token: order, template, template as pattern
-        self.erasing = None  # a rule whose rhs omits a variable
+        self.rules = {}  # head token: order, template
         for name, rule in sys.rules.items():
-            if variable_indices(rule.rhs) != set(range(1, rule.order + 1)):
-                self.erasing = self.erasing or name
             rhs = term_key(rule.rhs, {var(i): "{%d}" % (i - 1)
-                                      for i in range(1, rule.order + 1)})
-            pattern = [int(c) if c.isdigit() else c
-                       for c in re.findall(r"\.|\d+", rhs)]
-            self.rules[self.tokens[basic(name)]] = rule.order, rhs, pattern
+                                      for i in variable_indices(rule.rhs)})
+            self.rules[self.tokens[basic(name)]] = rule.order, rhs
         self.redex = re.compile("|".join(
-            re.escape("." * n + head) for head, (n, _, _) in self.rules.items()))
+            r"\.{%d}%s" % (n, re.escape(head))
+            for head, (n, _) in self.rules.items()))
         try:
             self.start = term_key(t, self.tokens)
         except KeyError as exc:
@@ -164,38 +165,12 @@ class _KeyRules:
         out = []
         end = subterm_ends(key)
         for match in matches:
-            n, rhs, _ = self.rules[key[match.end() - 1]]
+            n, rhs = self.rules[key[match.end() - 1]]
             args, pos = [], match.end()
             for _ in range(n):
                 args.append(key[pos:end[pos]])
                 pos = end[pos]
             out.append(f"{key[:match.start()]}{rhs.format(*args)}{key[pos:]}")
-        return out
-
-    def predecessors(self, key: str) -> list[str]:
-        """Keys one step to key: each subterm that matches a right-hand
-        side, with a repeated variable binding equal subterms, becomes its
-        redex."""
-        if self.erasing is not None:
-            raise SystemError_(f"predecessors are infinite: rhs of "
-                               f"{self.erasing} omits a variable")
-        out = []
-        end = subterm_ends(key)
-        for i in range(len(key)):
-            for head, (n, _, pattern) in self.rules.items():
-                args, pos = [""] * n, i
-                for item in pattern:
-                    if item == ".":
-                        if key[pos] != ".":
-                            break
-                        pos += 1
-                    elif args[item] in ("", key[pos:end[pos]]):
-                        args[item] = key[pos:end[pos]]
-                        pos = end[pos]
-                    else:
-                        break
-                else:
-                    out.append(f"{key[:i]}{'.' * n}{head}{''.join(args)}{key[pos:]}")
         return out
 
 
@@ -229,31 +204,15 @@ def step_successors(sys: CLSystem, t: Term) -> set[Term]:
     return {rules.decode(key) for key in rules.successors(rules.start)}
 
 
-def step_predecessors(sys: CLSystem, t: Term) -> set[Term]:
-    """All s with s => t, by matching each rhs against every subterm of t.
-    Raises SystemError_ if a rule's rhs omits a variable (infinite sets)."""
-    rules = _KeyRules(sys, t)
-    return {rules.decode(key) for key in rules.predecessors(rules.start)}
-
-
 def explore_component(sys: CLSystem, t: Term, direction: str = "up",
                       budget: int = DEFAULT_BUDGET) -> ExploredPoset:
-    """BFS closure from t: ``up`` follows successors only, ``class`` closes
-    under successors and predecessors (the whole equivalence class).  The
-    walk runs on prefix keys, and each node is decoded once."""
-    rules = _KeyRules(sys, t)
-    if direction == "up":
-        predecessors = None
-    elif direction == "class":
-        if any(not hier for hier in is_hierarchical(sys).values()):
-            warnings.warn(
-                "class exploration of a non-hierarchical system may not "
-                "terminate; relying on the node budget", stacklevel=2)
-        predecessors = rules.predecessors
-    else:
+    """BFS closure of the step from t: its upset.  The walk runs on prefix
+    keys, and each node is decoded once.  ``direction`` admits only "up",
+    for callers that pass it."""
+    if direction != "up":
         raise SystemError_(f"invalid direction {direction!r}")
-    g = explore(rules.start, rules.successors, budget=budget,
-                sort_key=str, predecessors=predecessors)
+    rules = _KeyRules(sys, t)
+    g = explore(rules.start, rules.successors, budget=budget)
     g.nodes = [rules.decode(key) for key in g.nodes]
     return g
 
@@ -313,7 +272,7 @@ def local_confluence_probe(sys: CLSystem, t: Term,
     succs = sorted(set(rules.successors(rules.start)) - {rules.start})
     if len(succs) < 2:
         return ConfluenceReport(term=t, pairs_checked=0, joinable_pairs=0)
-    g = explore(rules.start, rules.successors, budget=join_budget, sort_key=str)
+    g = explore(rules.start, rules.successors, budget=join_budget)
     _, reach = reachability(nonloop_adjacency(g))
     index = {key: i for i, key in enumerate(g.nodes)}
     ups = [reach[index[key]] if key in index else 0 for key in succs]

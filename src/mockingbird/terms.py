@@ -11,8 +11,8 @@ of its own (decode_term's ``shared``).  Equality is structural and runs over
 a stack of pairs, so terms built apart compare at any depth.
 
 The parser and the printer each read any depth in one pass, without
-recursion.  Rewriting, substitution and pattern matching run on prefix
-keys (term_key, encode_term; stepped in rewrite), not on terms.
+recursion.  Rewriting and substitution run on prefix keys (term_key,
+encode_term; stepped in rewrite), not on terms.
 """
 
 from __future__ import annotations

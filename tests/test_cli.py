@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from mockingbird.bridge import verify_fr_isomorphism
 from mockingbird.cli import LATTICE_CHECK_NODES, export_graph, main
 from mockingbird.posets import ExplorationError, IncompleteExplorationError, poset_analysis
 from mockingbird.rewrite import explore_component, load_system
+from mockingbird.sequences import METHODS, SEQUENCE_NAMES
 from mockingbird.terms import parse_term
 from tests_util import FUZZ_PIECES, forbid_sequence_solvers, right_comb
 
@@ -125,6 +127,29 @@ class TestSystemArgument:
         assert err == ("error: unknown system 'builtin:Q'; the built-in "
                        "systems are builtin:M, builtin:I, builtin:K, "
                        "builtin:S, builtin:KS\n")
+
+    def test_high_order_answers_at_once(self, capsys):
+        # the rule's order costs nothing until the rule fires
+        order = (rewrite.MAX_STEP_SIZE - 1) // 2
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "KKKx1x2x3x4", "--system",
+                             f"K {order} := x1")
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (0, "")
+        assert "nodes                    1\n" in out
+
+    @pytest.mark.parametrize("order", [(rewrite.MAX_STEP_SIZE + 1) // 2,
+                                       2**32], ids=["bound", "2^32"])
+    def test_order_past_the_least_redex_bound(self, capsys, order):
+        # a redex of order n has 2n + 1 symbols at least, so no step that
+        # could fire the rule would pass the step-size refusal
+        start = time.perf_counter()
+        code, out, err = run(capsys, "graph", "K", "--system",
+                             f"# K\nK {order} := x1")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert err == (f"error: line 2: order {order} too large: a redex has "
+                       f"{2 * order + 1} symbols > {rewrite.MAX_STEP_SIZE}\n")
 
 
 class TestReduceCheckFr:
@@ -420,16 +445,58 @@ CLI_TERMS = st.one_of(
     st.lists(st.sampled_from(FUZZ_PIECES), max_size=24).map("".join),
     st.integers(1, 5000).map(lambda n: "M" * n),
     st.integers(1, 5000).map(lambda n: "M(" * n + "M" + ")" * n))
+# the built-ins, and orders that once cost seconds or memory to load
+CLI_SYSTEMS = ["builtin:M", "builtin:KS", "builtin:I", "K 1000000 := x1",
+               "K 10000000 := x1", "K 4294967296 := x1"]
+# admitted counts that answer in milliseconds, and refused ones (past a
+# limit of sequences.LADDER_COUNT_LIMITS, or below 1); no oracle count
+# reaches the streaming depth 5, which takes minutes
+CLI_COUNTS = ["-1", "0", "1", "2", "5", "12", "16", "27", "40", "3300",
+              "100000"]
+BFILE_JUNK = ["", "# note", "0", "0 1 2", "x 1", "1 1", "0 1.5", "0 -",
+              "0 " + "9" * 5000, "\u0663 1"]
+
+
+@st.composite
+def bfile_bytes(draw):
+    """A b-file of at most 16 values, maybe with one malformed line; or one
+    too long for most sequences; or no valid UTF-8; or None for no file."""
+    values = draw(st.lists(st.integers(-1, 50), max_size=16))
+    lines = [f"{i} {v}" for i, v in enumerate(values)]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(BFILE_JUNK)))
+    return draw(st.sampled_from([
+        "".join(line + "\n" for line in lines).encode(),
+        "".join(f"{n} {n}\n" for n in range(64)).encode(),
+        b"0 1\n\xff\n", None]))
 
 
 @st.composite
 def cli_argv(draw):
-    command = draw(st.sampled_from(["graph", "check", "reduce", "fr"]))
+    command = draw(st.sampled_from(["graph", "check", "reduce", "fr",
+                                    "enumerate", "oracle", "crosscheck",
+                                    "compare"]))
+    if command == "oracle":
+        return [command, draw(st.sampled_from(["-1", "0", "2", "4", "6"]))]
+    if command == "crosscheck":
+        argv = [command, "--max-d", str(draw(st.integers(-1, 4)))]
+        return argv + ["--json"] * draw(st.booleans())
+    if command in ("enumerate", "compare"):
+        argv = [command, draw(st.sampled_from(SEQUENCE_NAMES)),
+                "--indexing", draw(st.sampled_from(["mockingbird", "ladder"]))]
+        if command == "compare":
+            # bytes, or None, for the b-file written by the test
+            return argv[:1] + [draw(bfile_bytes())] + argv[1:] + [
+                "--method", draw(st.sampled_from(["recurrence", "series"])),
+                "--count", draw(st.sampled_from(["-1", "0", "3", "64"]))]
+        argv += ["--method", draw(st.sampled_from(list(METHODS))),
+                 "--count", draw(st.sampled_from(CLI_COUNTS))]
+        return argv + ["--json"] * draw(st.booleans())
     argv = [command, draw(CLI_TERMS)]
     if command == "fr":
         return argv
-    argv += ["--system",
-             draw(st.sampled_from(["builtin:M", "builtin:KS", "builtin:I"]))]
+    argv += ["--system", draw(st.sampled_from(CLI_SYSTEMS))]
     if command == "reduce":
         return argv + ["--max-steps", "5"]
     argv += ["--budget", "50"]
@@ -438,13 +505,19 @@ def cli_argv(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(cli_argv())
 def test_cli_exit_codes(argv):
     # in-process, so an exception that escapes main fails the test
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "compare":
+            path = Path(tmp, "b.txt")
+            if argv[1] is not None:
+                path.write_bytes(argv[1])
+            argv = [argv[0], str(path), *argv[2:]]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
     err = err.getvalue()
     assert code in (0, 1, 2)
     if err not in ("", "... step limit reached\n"):

@@ -21,12 +21,7 @@ from mockingbird.forests import (
     parse_forest,
     render_forest,
 )
-from mockingbird.posets import (
-    DEFAULT_BUDGET,
-    down_sets,
-    explore,
-    poset_analysis,
-)
+from mockingbird.posets import DEFAULT_BUDGET, down_sets, poset_analysis
 from tests_util import (
     black_count,
     brute_glb,
@@ -36,6 +31,7 @@ from tests_util import (
     is_white_only,
     node_count,
     right_comb,
+    two_pass_explore,
     white_count,
 )
 
@@ -197,13 +193,10 @@ class TestStep:
 
 
 def assert_same_walk(f, budget):
-    """forest_upset agrees with explore over the tuple step."""
+    """forest_upset agrees with the two-pass closure of the tuple step."""
     g = forest_upset(f, budget=budget)
-    ref = explore(f, forest_step_successors, budget=budget,
-                  sort_key=compact_key)
-    assert g.nodes == ref.nodes
-    assert g.step_edges == ref.step_edges
-    assert g.is_complete == ref.is_complete
+    assert (g.nodes, g.step_edges, g.is_complete) == two_pass_explore(
+        f, forest_step_successors, budget, sort_key=compact_key)
 
 
 class TestUpset:

@@ -1,4 +1,4 @@
-from collections import Counter, deque
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +10,7 @@ from mockingbird.posets import (
     poset_analysis,
     reachability,
 )
-from tests_util import brute_glb, brute_lub
+from tests_util import brute_glb, brute_lub, two_pass_explore
 
 
 def analyzed(n, edges, labels=None):
@@ -41,40 +41,17 @@ def digraphs(draw):
     return n, draw(st.sets(pairs, max_size=3 * n))
 
 
-def two_pass_explore(start, successors, budget, sort_key, predecessors):
-    """Reference closure: discover with a queue, then record the edges."""
-    index = {start: 0}
-    nodes = [start]
-    queue = deque([start])
-    complete = True
-    while queue:
-        u = queue.popleft()
-        found = set(successors(u))
-        if predecessors is not None:
-            found |= set(predecessors(u))
-        for v in sorted(found, key=sort_key):
-            if v not in index:
-                if len(nodes) >= budget:
-                    complete = False
-                    continue
-                index[v] = len(nodes)
-                nodes.append(v)
-                queue.append(v)
-    edges = {(i, index[v]) for u, i in index.items()
-             for v in successors(u) if v in index}
-    return nodes, edges, complete
-
-
 @settings(max_examples=300, deadline=None)
 @given(digraphs(), st.data())
 def test_explore_matches_two_pass_reference(case, data):
+    # distinct int labels, so the sorted order of the nodes is arbitrary
     n, edges = case
-    start = data.draw(st.integers(0, n - 1))
+    labels = data.draw(st.lists(st.integers(), min_size=n, max_size=n,
+                                unique=True))
+    start = labels[data.draw(st.integers(0, n - 1))]
     budget = data.draw(st.integers(1, n + 1))
-    rank = {v: r for r, v in enumerate(data.draw(st.permutations(range(n))))}
-    succ = {u: [v for (w, v) in edges if w == u] for u in range(n)}
-    pred = {u: [w for (w, v) in edges if v == u] for u in range(n)}
-    predecessors = pred.__getitem__ if data.draw(st.booleans()) else None
+    succ = {labels[u]: [labels[v] for (w, v) in edges if w == u]
+            for u in range(n)}
 
     calls = Counter()
 
@@ -82,11 +59,10 @@ def test_explore_matches_two_pass_reference(case, data):
         calls[u] += 1
         return succ[u]
 
-    g = explore(start, successors, budget=budget, sort_key=rank.__getitem__,
-                predecessors=predecessors)
+    g = explore(start, successors, budget=budget)
     assert calls == Counter(g.nodes)
     assert (g.nodes, g.step_edges, g.is_complete) == two_pass_explore(
-        start, succ.__getitem__, budget, rank.__getitem__, predecessors)
+        start, succ.__getitem__, budget)
 
 
 @settings(max_examples=300, deadline=None)

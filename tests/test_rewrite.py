@@ -1,12 +1,12 @@
 import gc
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mockingbird.posets import poset_analysis
 from mockingbird.rewrite import (
+    MAX_STEP_SIZE,
     SystemError_,
     _KeyRules,
     explore_component,
@@ -14,7 +14,6 @@ from mockingbird.rewrite import (
     is_hierarchical,
     load_system,
     local_confluence_probe,
-    step_predecessors,
     step_successors,
 )
 from mockingbird.terms import (Application, app, basic, parse_term, render_term,
@@ -91,6 +90,15 @@ class TestLoadSystem:
         with pytest.raises(SystemError_):
             load_system("# nothing here")
 
+    def test_order_bounded_by_the_least_redex(self):
+        # a redex of order n has 2n + 1 symbols, so past MAX_STEP_SIZE no
+        # step could ever fire the rule
+        order = (MAX_STEP_SIZE - 1) // 2
+        assert load_system(f"K {order} := x1").rules["K"].order == order
+        with pytest.raises(SystemError_, match=f"^line 2: order {order + 1} "
+                           f"too large: a redex has {2 * order + 3} symbols"):
+            load_system(f"M 1 := x1 x1\nK {order + 1} := x1")
+
 
 class TestStepSuccessors:
     def test_fig_root_steps(self):
@@ -119,29 +127,37 @@ class TestStepSuccessors:
         succ = step_successors(SYS_M, t)
         assert succ == {parse_term("x1(x2x2)", frozenset({"M"}))}
 
+    def test_order_past_nine_and_sparse_rhs(self):
+        # eleven dots before the head, and a template over x2 and x11 only
+        system = load_system("E 11 := x11 x2 x11\nK 2097151 := x1")
+        args = "".join(f"x{i}" for i in range(1, 11))
+        t = parse_term(f"K(E{args}(E{args}x11)x12)", {"E", "K"})
+        succ = step_successors(system, t)
+        assert succ == set(successor_list(system, t))
+        assert len(succ) == 2
+
 
 class TestStepPredecessors:
+    # the inverse step lives only in tests_util (predecessor_set), as the
+    # oracle of the minimality tests below
+
     def test_square_root(self):
-        preds = step_predecessors(SYS_M, TM("(MM)(MM)"))
+        preds = predecessor_set(SYS_M, TM("(MM)(MM)"))
         assert preds == {TM("M(MM)"), TM("(MM)(MM)")}
 
     def test_self_loop_source_only(self):
-        assert step_predecessors(SYS_M, TM("MM")) == {TM("MM")}
+        assert predecessor_set(SYS_M, TM("MM")) == {TM("MM")}
 
     def test_leaf_has_none(self):
-        assert step_predecessors(SYS_M, TM("M")) == set()
-
-    def test_erasing_system_rejected(self):
-        with pytest.raises(SystemError_):
-            step_predecessors(SYS_K, parse_term("K", {"K"}))
+        assert predecessor_set(SYS_M, TM("M")) == set()
 
     def test_inverse_consistency_degree_le_5(self):
         for degree in range(6):
             for t in all_combinators(degree):
-                for s in step_predecessors(SYS_M, t):
+                for s in predecessor_set(SYS_M, t):
                     assert t in step_successors(SYS_M, s)
                 for u in step_successors(SYS_M, t):
-                    assert t in step_predecessors(SYS_M, u)
+                    assert t in predecessor_set(SYS_M, u)
 
 
 class TestExplore:
@@ -165,21 +181,11 @@ class TestExplore:
         assert not g.is_complete
         assert len(g.nodes) == 10
 
-    def test_class_direction_reaches_predecessors(self):
-        g = explore_component(SYS_M, TM("(MM)(MM)"), "class")
-        assert TM("M(MM)") in g.nodes
-
-    def test_class_warns_for_non_hierarchical(self):
-        # S is not hierarchical but keeps all variables, so its inverse
-        # steps stay enumerable
-        sys_s = load_system("builtin:S")
-        t = parse_term("SSSS", {"S"})
-        with pytest.warns(UserWarning):
-            explore_component(sys_s, t, "class", budget=50)
-
-    def test_invalid_direction(self):
-        with pytest.raises(SystemError_):
-            explore_component(SYS_M, TM("MM"), "down")
+    @pytest.mark.parametrize("direction", ["down", "class"])
+    def test_invalid_direction(self, direction):
+        # the upset is the one walk
+        with pytest.raises(SystemError_, match="invalid direction"):
+            explore_component(SYS_M, TM("MM"), direction)
 
     def test_node_zero_is_start(self):
         g = explore_component(SYS_M, TM("M(MM)"), "up")
@@ -374,14 +380,14 @@ class TestExtremal:
         t = random_m_term(random.Random(seed), degree)
         flags = extremal_by_pattern(t)
         assert flags["maximal"] == (step_successors(SYS_M, t) <= {t})
-        assert flags["minimal"] == (step_predecessors(SYS_M, t) <= {t})
+        assert flags["minimal"] == (predecessor_set(SYS_M, t) <= {t})
 
     def test_agrees_with_graph_characterization_degree_le_8(self):
         for degree in range(9):
             for t in all_combinators(degree):
                 flags = extremal_by_pattern(t)
                 succ_max = step_successors(SYS_M, t) <= {t}
-                pred_min = step_predecessors(SYS_M, t) <= {t}
+                pred_min = predecessor_set(SYS_M, t) <= {t}
                 assert flags["maximal"] == succ_max, render_term(t)
                 assert flags["minimal"] == pred_min, render_term(t)
 
@@ -398,7 +404,6 @@ REFERENCE_SYSTEMS = {
     "AB-A-W": load_system("AB 2 := x2 x1 x1\nA 1 := x1 x1\nW 2 := x1 x2 x2"),
     "B-C": load_system("B 3 := x1 (x2 x3)\nC 3 := x1 x3 x2"),
 }
-INVERTIBLE = {"M", "I", "S", "AB-A-W", "B-C"}
 
 
 def terms_over(system):
@@ -429,35 +434,16 @@ class TestAgainstTermStep:
     @settings(max_examples=300, deadline=None)
     @given(system_and_term())
     def test_step_successors_and_predecessors(self, case):
-        name, system, t = case
+        _, system, t = case
         assert step_successors(system, t) == set(successor_list(system, t))
-        if name in INVERTIBLE:
-            assert step_predecessors(system, t) == predecessor_set(system, t)
-        else:
-            with pytest.raises(SystemError_):
-                step_predecessors(system, t)
 
     @settings(max_examples=200, deadline=None)
     @given(system_and_term(), st.integers(1, 60))
     def test_explore_up(self, case, budget):
         _, system, t = case
-        g = explore_component(system, t, "up", budget=budget)
-        ref = explore_reference(system, t, "up", budget)
-        assert g.nodes == ref.nodes
-        assert g.step_edges == ref.step_edges
-        assert g.is_complete == ref.is_complete
-
-    @settings(max_examples=100, deadline=None)
-    @given(system_and_term(("M", "I", "S")), st.integers(1, 60))
-    def test_explore_class(self, case, budget):
-        _, system, t = case
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            g = explore_component(system, t, "class", budget=budget)
-        ref = explore_reference(system, t, "class", budget)
-        assert g.nodes == ref.nodes
-        assert g.step_edges == ref.step_edges
-        assert g.is_complete == ref.is_complete
+        g = explore_component(system, t, budget=budget)
+        assert (g.nodes, g.step_edges, g.is_complete) == \
+            explore_reference(system, t, budget)
 
 
 def test_deep_left_spine_upset():

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite, and reference implementations that
 the library's code is compared against: the recursive term parser, the
 rewrite step on Term objects with its substitution, pattern matching and
-full rendering, the confluence probe by pairwise upset walks, the forest
-step on nested tuples, the M step by redex paths, the recursive fr, the
+full rendering, the two-pass breadth-first closure, the confluence probe
+by pairwise upset walks, the forest step on nested tuples, the M step by
+redex paths, the recursive fr, the
 combinators of a degree built as terms (decoded from their keys, and level
 by level), the whole-series operators on
 truncated series, the catalytic interval rule by recursion and by its
@@ -11,6 +12,7 @@ explicit reachability.  Also the right combs, the forest
 metrics, and the brute-force in-degree, down-set size and meet-decomposition
 counts of a forest upset."""
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, product
 from math import comb
@@ -19,8 +21,7 @@ from mockingbird import sequences
 from mockingbird.forests import (BLACK, EMPTY, WHITE, DupForest, compact_key,
                                  forest_upset, meet)
 from mockingbird.oracle import OracleError, combinator_keys
-from mockingbird.posets import (ExplorationError, ExploredPoset, down_sets, explore,
-                                poset_analysis)
+from mockingbird.posets import ExplorationError, ExploredPoset, down_sets, poset_analysis
 from mockingbird.rewrite import ConfluenceReport, _KeyRules
 from mockingbird.series import SeriesError, TruncSeries
 from mockingbird.terms import (
@@ -311,13 +312,34 @@ def predecessor_set(system, t):
     return out
 
 
-def explore_reference(system, t, direction, budget):
-    """explore_component by the Term step, nodes sorted by render_full."""
-    predecessors = None
-    if direction == "class":
-        predecessors = lambda u: predecessor_set(system, u)
-    return explore(t, lambda u: successor_list(system, u), budget=budget,
-                   sort_key=render_full, predecessors=predecessors)
+def two_pass_explore(start, successors, budget, sort_key=None):
+    """Reference closure for posets.explore: discover with a queue, each
+    node's successors in sort_key order, then record the edges.  Returns
+    the nodes, the step edges and whether the closure is complete."""
+    index = {start: 0}
+    nodes = [start]
+    queue = deque([start])
+    complete = True
+    while queue:
+        u = queue.popleft()
+        for v in sorted(set(successors(u)), key=sort_key):
+            if v not in index:
+                if len(nodes) >= budget:
+                    complete = False
+                    continue
+                index[v] = len(nodes)
+                nodes.append(v)
+                queue.append(v)
+    edges = {(i, index[v]) for u, i in index.items()
+             for v in successors(u) if v in index}
+    return nodes, edges, complete
+
+
+def explore_reference(system, t, budget):
+    """explore_component by the Term step and the two-pass closure, nodes
+    sorted by render_full."""
+    return two_pass_explore(t, lambda u: successor_list(system, u), budget,
+                            sort_key=render_full)
 
 
 def _walk_up(successors, key, budget, goal=frozenset()):
