@@ -37,10 +37,12 @@ def export_graph(g: ExploredPoset, format: str = "json",
     edges (requires prior analysis)."""
     if not g.is_complete:
         raise IncompleteExplorationError("cannot export an incomplete graph")
+    hasse = None if g.covers is None else [
+        (i, j) for i, covers in enumerate(g.covers) for j in covers]
     if hasse_only:
-        if g.hasse_edges is None:
+        if hasse is None:
             raise IncompleteExplorationError("hasse export requires analysis")
-        edges = sorted(g.hasse_edges)
+        edges = hasse
     else:
         edges = sorted(g.step_edges)
     labels = [render_term(node) for node in g.nodes]
@@ -48,14 +50,14 @@ def export_graph(g: ExploredPoset, format: str = "json",
         payload = {
             "nodes": labels,
             "step_edges": [] if hasse_only else edges,
-            "hasse_edges": None if g.hasse_edges is None else sorted(g.hasse_edges),
+            "hasse_edges": hasse,
             "flags": {
                 "is_complete": g.is_complete,
                 "is_acyclic": g.is_acyclic,
                 "is_lattice": g.is_lattice,
             },
         }
-        if g.analyzed:
+        if g.minimal is not None:
             payload["minimal"] = sorted(g.minimal)
             payload["maximal"] = sorted(g.maximal)
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -80,13 +82,13 @@ def _parse_with_system(args) -> tuple[rewrite.CLSystem, Term]:
     return system, parse_term(args.term, system.alphabet)
 
 
-def _explore_upset(args) -> tuple[rewrite.CLSystem, Term, ExploredPoset]:
-    """The system, the term and its explored upset, analysed if complete."""
+def _explore_upset(args) -> tuple[rewrite.CLSystem, ExploredPoset]:
+    """The system and the explored upset of the term, analysed if complete."""
     system, term = _parse_with_system(args)
     g = rewrite.explore_component(system, term, budget=args.budget)
     if g.is_complete:
         poset_analysis(g, check_lattice=len(g.nodes) <= LATTICE_CHECK_NODES)
-    return system, term, g
+    return system, g
 
 
 def _cmd_reduce(args) -> int:
@@ -102,7 +104,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    _, _, g = _explore_upset(args)
+    _, g = _explore_upset(args)
     if not g.is_complete and args.hasse:
         print("error: budget exhausted, no Hasse diagram", file=sys.stderr)
         return 2
@@ -111,7 +113,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    system, term, g = _explore_upset(args)
+    system, g = _explore_upset(args)
     rows: list[tuple[str, str]] = []
     failed = False
     rows.append(("complete", str(g.is_complete)))
@@ -126,10 +128,7 @@ def _cmd_check(args) -> int:
         failed = True
     for name, flag in sorted(rewrite.is_hierarchical(system).items()):
         rows.append((f"hierarchical[{name}]", str(flag)))
-    # the probe explores the upset again within this budget, so it keeps
-    # the nodes kept here: a pair joins when the two kept up-sets meet
-    probe = rewrite.local_confluence_probe(system, term,
-                                           join_budget=len(g.nodes))
+    probe = rewrite.upset_confluence(system, g)
     rows.append(("confluence pairs", str(probe.pairs_checked)))
     rows.append(("confluence joinable", str(probe.all_joinable)))
     if probe.failures or probe.inconclusive:

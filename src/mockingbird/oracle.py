@@ -58,9 +58,9 @@ def oracle_poset_counts(d: int) -> OracleCounts:
     return OracleCounts(
         d=d,
         elements=len(g.nodes),
-        hasse_edges=len(g.hasse_edges),
+        hasse_edges=sum(map(len, g.covers)),
         intervals=sum(r.bit_count() for r in g.reach),
-        cover_equals_step=g.hasse_edges == g.nonloop_edges(),
+        cover_equals_step=g.covers == g.succ,
     )
 
 

@@ -2,20 +2,20 @@
 
 An :class:`ExploredPoset` is produced by :func:`explore`, a single-pass
 breadth-first closure (of term rewriting or forest duplication) that
-computes each node's successors once, and carries the raw step edges,
-including self-loops.  :func:`poset_analysis` derives the order-theoretic
-data: acyclicity, Hasse diagram (transitive reduction), extremal elements,
-and the lattice property.
+computes each node's successors once.  It holds the step graph in one
+shape: ascending successor lists without self-loops, and the set of nodes
+that step to themselves.  :func:`poset_analysis` derives the
+order-theoretic data: acyclicity, the covers (transitive reduction),
+extremal elements, and the lattice property.
 
 Reachability is held as one Python integer bitset per node: ``reach[i]`` is
-the up-set of i, computed by :func:`reachability` over the
-:func:`nonloop_adjacency` of an exploration, complete or truncated (so the
-confluence probe reads its joins off the same code).  The lattice check
-uses only these up-sets.  A finite non-empty poset is a lattice iff it has
-a bottom and every pair has a join, because the meet of a and b is the
-join of their common lower bounds, a set that holds the bottom.
-:func:`down_sets` gives the down-sets as the reachability of the reversed
-step graph.
+the up-set of i, computed by :func:`reachability` over the successor lists
+of an exploration, complete or truncated (so the confluence probe reads
+its joins off the same code).  The lattice check uses only these up-sets.
+A finite non-empty poset is a lattice iff it has a bottom and every pair
+has a join, because the meet of a and b is the join of their common lower
+bounds, a set that holds the bottom.  :func:`down_sets` gives the
+down-sets as the reachability of the reversed step graph.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ class IncompleteExplorationError(ExplorationError):
 @dataclass
 class ExploredPoset:
     nodes: list  # BFS discovery order; node 0 is the start
-    step_edges: set[tuple[int, int]]  # includes self-loops
+    succ: list[list[int]]  # succ[i]: kept successors of i but i, ascending
+    loops: set[int]  # the nodes that step to themselves
     is_complete: bool
-    hasse_edges: Optional[set[tuple[int, int]]] = None
+    covers: Optional[list[list[int]]] = None  # the covers of i in succ[i]
     is_acyclic: Optional[bool] = None
     is_lattice: Optional[bool] = None
     minimal: Optional[set[int]] = None
@@ -49,14 +50,10 @@ class ExploredPoset:
     reach: Optional[list[int]] = field(default=None, repr=False)
 
     @property
-    def analyzed(self) -> bool:
-        return self.is_acyclic is not None
-
-    def nonloop_edges(self) -> set[tuple[int, int]]:
-        return {(i, j) for (i, j) in self.step_edges if i != j}
-
-    def self_loops(self) -> set[tuple[int, int]]:
-        return {(i, j) for (i, j) in self.step_edges if i == j}
+    def step_edges(self) -> set[tuple[int, int]]:
+        """The step edges as index pairs, self-loops included."""
+        return {(i, j) for i, succs in enumerate(self.succ)
+                for j in succs} | {(i, i) for i in self.loops}
 
 
 def explore(start: Hashable,
@@ -66,16 +63,18 @@ def explore(start: Hashable,
 
     One pass over the growing ``nodes`` list, which is the queue: each node's
     successors are computed once, its fresh successors are indexed in sorted
-    order (so discovery order is deterministic), and its edges to indexed
-    successors are recorded on the spot.  A successor left out for the
-    budget is never indexed later, so no edge is missed.
+    order (so discovery order is deterministic), and its indexed successors
+    are recorded on the spot.  So the start's other successors are nodes 1,
+    2, ... in sorted order, as far as the budget reaches.  A successor left
+    out for the budget is never indexed later, so no edge is missed.
     """
     if budget < 1:
         raise ExplorationError("budget must be >= 1")
 
     index: dict[Hashable, int] = {start: 0}
     nodes: list = [start]
-    edges: set[tuple[int, int]] = set()
+    succ: list[list[int]] = []
+    loops: set[int] = set()
     complete = True
 
     for i, u in enumerate(nodes):
@@ -88,22 +87,12 @@ def explore(start: Hashable,
             for v in sorted(fresh)[:room]:
                 index[v] = len(nodes)
                 nodes.append(v)
-        for v in succs:
-            j = index.get(v)
-            if j is not None:
-                edges.add((i, j))
+        if u in succs:
+            loops.add(i)
+        succ.append(sorted(set(map(index.get, succs)) - {None, i}))
 
-    return ExploredPoset(nodes=nodes, step_edges=edges, is_complete=complete)
-
-
-def nonloop_adjacency(g: ExploredPoset) -> list[list[int]]:
-    """Successor lists of g's step edges without self-loops, for a complete
-    exploration or a truncated one."""
-    adj: list[list[int]] = [[] for _ in g.nodes]
-    for i, j in g.step_edges:
-        if i != j:
-            adj[i].append(j)
-    return adj
+    return ExploredPoset(nodes=nodes, succ=succ, loops=loops,
+                         is_complete=complete)
 
 
 def _topological_order(adj: list[list[int]]) -> Optional[list[int]]:
@@ -146,7 +135,7 @@ def reachability(adj: list[list[int]]) -> tuple[bool, list[int]]:
 
 
 def poset_analysis(g: ExploredPoset, check_lattice: bool = True) -> ExploredPoset:
-    """Fill acyclicity, Hasse edges, extremal sets, and the lattice flag.
+    """Fill acyclicity, covers, extremal sets, and the lattice flag.
 
     Self-loops are ignored throughout.  The lattice check asks for a bottom
     (a node whose up-set is every node) and, for every node pair, for a
@@ -155,15 +144,14 @@ def poset_analysis(g: ExploredPoset, check_lattice: bool = True) -> ExploredPose
     lower bounds, which are finitely many and include the bottom.  The check
     is quadratic in the node count and can be skipped for large posets
     (is_lattice then stays None).  Requires a complete exploration.  On a
-    cyclic graph only the flags and extremal sets are meaningful;
-    hasse_edges is left empty.
+    cyclic graph only the flags and extremal sets are meaningful; every
+    list of covers is empty.
     """
     if not g.is_complete:
         raise IncompleteExplorationError(
             "poset_analysis requires a complete exploration")
     n = len(g.nodes)
-    adj = nonloop_adjacency(g)
-    g.is_acyclic, reach = reachability(adj)
+    g.is_acyclic, reach = reachability(g.succ)
     g.reach = reach
 
     above = 0  # union over i of reach[i] minus i itself
@@ -173,20 +161,18 @@ def poset_analysis(g: ExploredPoset, check_lattice: bool = True) -> ExploredPose
     g.maximal = {i for i in range(n) if reach[i] == 1 << i}
 
     if not g.is_acyclic:
-        g.hasse_edges = set()
+        g.covers = [[] for _ in range(n)]
         g.is_lattice = False
         return g
 
-    # Cover edges: a step edge u->v is a cover iff v is not strictly above
-    # any successor of u, so one union per node decides all of its edges.
-    hasse: set[tuple[int, int]] = set()
-    for u in range(n):
-        succs = adj[u]
+    # Covers: a step edge u->v is a cover iff v is not strictly above any
+    # successor of u, so one union per node decides all of its edges.
+    g.covers = []
+    for succs in g.succ:
         beyond = 0  # union over successors w of reach[w] minus w itself
         for w in succs:
             beyond |= reach[w] & ~(1 << w)
-        hasse.update((u, v) for v in succs if not (beyond >> v) & 1)
-    g.hasse_edges = hasse
+        g.covers.append([v for v in succs if not (beyond >> v) & 1])
 
     if not check_lattice:
         return g
@@ -205,7 +191,7 @@ def down_sets(g: ExploredPoset) -> list[int]:
     if g.reach is None:
         raise ExplorationError("run poset_analysis first")
     radj: list[list[int]] = [[] for _ in g.nodes]
-    for i, succs in enumerate(nonloop_adjacency(g)):
+    for i, succs in enumerate(g.succ):
         for j in succs:
             radj[j].append(i)
     return reachability(radj)[1]

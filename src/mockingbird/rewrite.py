@@ -3,8 +3,8 @@
 The step, the upset exploration and the reduction chain run on prefix
 keys (terms.term_key), with no recursion over the term; each term
 handed back is decoded once.  Keys sort as fully parenthesized terms, so
-node order is the same in every process.  The confluence probe explores
-the upset of its term once and reads every pair's join off that graph.
+node order is the same in every process.  The confluence probe reads every
+pair's join off one exploration of the upset, which ``check`` shares.
 The M step that the fr-transport runs refuses by the same MAX_STEP_SIZE.
 """
 
@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NoReturn
+from typing import Callable, Iterator, Mapping, NoReturn
 
 from .posets import (DEFAULT_BUDGET, ExplorationError, ExploredPoset, explore,
-                     nonloop_adjacency, reachability)
+                     reachability)
 from .terms import (Term, TermError, Variable, basic, contains_basic, decode_term,
                     encode_term, parse_term, subterm_end, subterm_ends,
                     subterms_preorder, term_key, var, variable_indices)
@@ -269,13 +269,27 @@ def local_confluence_probe(sys: CLSystem, t: Term,
     failure when the exploration is complete, and inconclusive when it is
     not, as is every pair with a successor that the budget left out."""
     rules = _KeyRules(sys, t)
+    return _read_joins(t, rules, lambda: explore(
+        rules.start, rules.successors, budget=join_budget))
+
+
+def upset_confluence(sys: CLSystem, g: ExploredPoset) -> ConfluenceReport:
+    """The report of local_confluence_probe on the start of g, read off g:
+    an upset as explore_component returns it, analysed or not."""
+    return _read_joins(g.nodes[0], _KeyRules(sys, g.nodes[0]), lambda: g)
+
+
+def _read_joins(t: Term, rules: _KeyRules,
+                walk: Callable[[], ExploredPoset]) -> ConfluenceReport:
+    """The probe's report on t, read off walk(), its upset, explored only if
+    t has two proper successors, which explore indexes first, in key order:
+    the i-th is node i + 1 while the budget lasts, else it meets nothing."""
     succs = sorted(set(rules.successors(rules.start)) - {rules.start})
     if len(succs) < 2:
         return ConfluenceReport(term=t, pairs_checked=0, joinable_pairs=0)
-    g = explore(rules.start, rules.successors, budget=join_budget)
-    _, reach = reachability(nonloop_adjacency(g))
-    index = {key: i for i, key in enumerate(g.nodes)}
-    ups = [reach[index[key]] if key in index else 0 for key in succs]
+    g = walk()
+    reach = reachability(g.succ)[1] if g.reach is None else g.reach
+    ups = reach[1:len(succs) + 1] + [0] * (len(succs) + 1 - len(reach))
     apart = [(i, j) for i, up in enumerate(ups)
              for j in range(i + 1, len(ups)) if not up & ups[j]]
     pairs = len(succs) * (len(succs) - 1) // 2

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mockingbird
-from mockingbird import oracle, rewrite
+from mockingbird import oracle, posets, rewrite
 from mockingbird.bridge import verify_fr_isomorphism
 from mockingbird.cli import LATTICE_CHECK_NODES, export_graph, main
 from mockingbird.posets import ExplorationError, IncompleteExplorationError, poset_analysis
@@ -194,9 +194,9 @@ class TestReduceCheckFr:
         assert rows["confluence joinable"] == "True"
 
     def test_check_verdict_independent_of_hash_seed(self):
-        # budget 10 truncates the exploration, and the probe's upset walks
-        # inherit that cap, so the verdict rests on which nodes a walk
-        # keeps, i.e. on the order in which it follows the redexes
+        # budget 10 truncates the exploration, and the probe reads its
+        # joins off that truncated walk, so the verdict rests on which nodes
+        # the walk keeps, i.e. on the order in which it follows the redexes
         src = str(Path(mockingbird.__file__).resolve().parents[1])
         runs = []
         for seed in ("1", "4"):
@@ -210,23 +210,29 @@ class TestReduceCheckFr:
             runs.append(proc.stdout)
         assert runs[0] == runs[1]
 
-    def test_check_probe_budget_is_exploration_size(self, capsys,
-                                                    monkeypatch):
-        budgets = []
-        probe = rewrite.local_confluence_probe
+    def test_check_walks_once(self, capsys, monkeypatch):
+        # the probe reads its joins off the upset walked for the verdicts,
+        # and off its reachability table when the analysis made one
+        calls = []
 
-        def recording_probe(system, t, join_budget):
-            budgets.append(join_budget)
-            return probe(system, t, join_budget)
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(rewrite, "local_confluence_probe",
-                            recording_probe)
-        _, out, _ = run(capsys, "check", "M(M(M(MM)))")
-        rows = dict(line.rsplit(maxsplit=1) for line in out.splitlines())
-        assert rows["complete"] == "True"
-        assert budgets == [int(rows["nodes"])] == [42]
-        run(capsys, "check", "--budget", "10", "M(M(M(MM)))")
-        assert budgets[1:] == [10]
+        monkeypatch.setattr(rewrite, "explore",
+                            counting("explore", rewrite.explore))
+        reach = counting("reachability", posets.reachability)
+        monkeypatch.setattr(posets, "reachability", reach)
+        monkeypatch.setattr(rewrite, "reachability", reach)
+        for argv, expected in ((["M(M(M(MM)))"], 0),
+                               (["--budget", "10", "M(M(M(MM)))"], 1)):
+            calls.clear()
+            code, out, _ = run(capsys, "check", *argv)
+            assert code == expected
+            assert re.search(r"^confluence pairs +3$", out, re.M)
+            assert sorted(calls) == ["explore", "reachability"]
 
     def test_check_ks(self, capsys):
         code, out, _ = run(capsys, "check", "S(KKS)K(SS)", "--system",
@@ -525,15 +531,22 @@ def test_cli_exit_codes(argv):
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
-def test_closed_output_pipe_exits_141():
+@pytest.mark.parametrize("argv", [["oracle", "3"],
+                                  ["compare", "{bfile}", "sizes"],
+                                  ["check", "M(M(MM))"]],
+                         ids=["oracle", "compare", "check"])
+def test_closed_output_pipe_exits_141(argv, tmp_path):
     # the reader is gone before the child writes: a shell reports 141
     # (128 + SIGPIPE) for such a writer, and nothing goes to stderr
     src = str(Path(mockingbird.__file__).resolve().parents[1])
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("0 1\n1 1\n2 2\n3 6\n4 42\n")
+    argv = [arg.format(bfile=bfile) for arg in argv]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "mockingbird.cli", "oracle", "3"],
+            [sys.executable, "-m", "mockingbird.cli", *argv],
             env=dict(os.environ, PYTHONPATH=src), stdout=write_end,
             stderr=subprocess.PIPE, text=True, timeout=120)
     finally:

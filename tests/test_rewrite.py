@@ -15,6 +15,7 @@ from mockingbird.rewrite import (
     load_system,
     local_confluence_probe,
     step_successors,
+    upset_confluence,
 )
 from mockingbird.terms import (Application, app, basic, parse_term, render_term,
                                subterms_preorder, term_key, var)
@@ -50,8 +51,8 @@ def kept_up_set(g, i):
     seen, stack = {i}, [i]
     while stack:
         u = stack.pop()
-        for w, v in g.step_edges:
-            if w == u and v not in seen:
+        for v in g.succ[u]:
+            if v not in seen:
                 seen.add(v)
                 stack.append(v)
     return seen
@@ -164,8 +165,8 @@ class TestExplore:
     def test_fig_component_m(self):
         g = explore_component(SYS_M, TM("M(M(MM))"), "up")
         assert len(g.nodes) == 6
-        assert len(g.nonloop_edges()) == 7
-        assert len(g.self_loops()) == 6
+        assert sum(map(len, g.succ)) == 7
+        assert len(g.loops) == 6
 
     def test_fig_component_i(self):
         t = parse_term("II(III)", {"I"})
@@ -277,11 +278,24 @@ class TestConfluence:
         return (report.pairs_checked, report.joinable_pairs, report.failures,
                 report.inconclusive)
 
+    @staticmethod
+    def upset(system, t, budget):
+        """The upset of t as check reads the probe off it: explored within
+        the budget, and analysed when complete."""
+        g = explore_component(system, t, "up", budget=budget)
+        if g.is_complete:
+            poset_analysis(g, check_lattice=False)
+        return g
+
     def test_matches_pairwise_walks_degree_le_5(self):
         for degree in range(6):
             for t in all_combinators(degree):
-                assert self.fields(local_confluence_probe(SYS_M, t)) == \
+                report = local_confluence_probe(SYS_M, t)
+                assert self.fields(report) == \
                     self.fields(probe_reference(SYS_M, t)), render_term(t)
+                g = self.upset(SYS_M, t, 100_000)
+                assert self.fields(upset_confluence(SYS_M, g)) == \
+                    self.fields(report), render_term(t)
 
     @pytest.mark.parametrize("name", ["K", "S", "I", "KS"])
     def test_matches_pairwise_walks_random(self, name):
@@ -306,7 +320,9 @@ class TestConfluence:
             t, budget = random_term(rng.randint(1, 20)), rng.choice((10, 40, 150))
             report = local_confluence_probe(system, t, budget)
             reference = probe_reference(system, t, budget)
-            g = explore_component(system, t, "up", budget=budget)
+            g = self.upset(system, t, budget)
+            assert self.fields(upset_confluence(system, g)) == \
+                self.fields(report)
             if g.is_complete:
                 complete += 1
                 assert self.fields(report) == self.fields(reference)

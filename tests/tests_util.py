@@ -697,9 +697,10 @@ def oracle_ni(f: DupForest) -> dict[DupForest, int]:
     omitted."""
     g = _analyzed_upset(f)
     counts: dict[DupForest, int] = {}
-    for i, j in g.nonloop_edges():
-        target = g.nodes[j]
-        counts[target] = counts.get(target, 0) + 1
+    for succs in g.succ:
+        for j in succs:
+            target = g.nodes[j]
+            counts[target] = counts.get(target, 0) + 1
     return counts
 
 
