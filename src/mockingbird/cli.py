@@ -2,9 +2,9 @@
 translation, sequence enumeration, oracle counts, and cross-checks.
 
 Exit codes: 0 success, 1 property failure or comparison mismatch, 2 usage
-or input error, 141 when the reader of standard output has left (as for a
-writer killed by SIGPIPE).  Machine-readable output goes to standard
-output only.
+or input error or a run out of memory, 141 when the reader of standard
+output has left (as for a writer killed by SIGPIPE).  Machine-readable
+output goes to standard output only.
 """
 
 from __future__ import annotations
@@ -278,6 +278,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 141  # 128 + SIGPIPE, as a shell reports such a writer
     except (TermError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -1,11 +1,12 @@
 """Duplicative forests: planar trees of white/black nodes, the duplication
-step, upset exploration, and the recursive meet/join lattice operations.
+step, upset exploration, and the meet/join lattice operations.
 
 A forest is a tuple of trees; a tree is a pair ``(color, children)`` with
 color ``"w"`` or ``"b"`` and children again a forest.  Nested tuples are the
-public type, recursed over by meet and join; the duplication step runs on
-compact keys (the space-free rendering) by string surgery.  Parsing and
-printing run without recursion, on forests of any depth.
+public type.  Meet and join are one rule, recursing one frame per forest
+level (about 990 levels at the default recursion limit); the duplication
+step runs on compact keys (the space-free rendering) by string surgery.
+Parsing and printing run without recursion, on forests of any depth.
 """
 
 from __future__ import annotations
@@ -159,48 +160,37 @@ def forest_upset(f: DupForest, budget: int = DEFAULT_BUDGET) -> ExploredPoset:
 # Meet and join (greatest lower bound / least upper bound in a common upset)
 
 
-def _split_half(f: DupForest) -> tuple[DupForest, DupForest]:
-    if len(f) % 2:
-        raise IncompatibleForests(
-            f"black node with odd child count: {render_forest(f)!r}")
-    half = len(f) // 2
-    return f[:half], f[half:]
-
-
 def meet(f1: DupForest, f2: DupForest) -> DupForest:
     """Componentwise greatest lower bound of forests in a common upset."""
-    if len(f1) != len(f2):
-        raise IncompatibleForests(
-            f"forest length mismatch: {render_forest(f1)!r} vs {render_forest(f2)!r}")
-    return tuple(_tree_meet(t1, t2) for t1, t2 in zip(f1, f2))
-
-
-def _tree_meet(t1: DupTree, t2: DupTree) -> DupTree:
-    c1, g1 = t1
-    c2, g2 = t2
-    if c1 == c2:
-        return (c1, meet(g1, g2))
-    if c1 == BLACK:
-        g1, g2 = g2, g1
-    # white over g1 meets black over g2 = g' followed by g''
-    left, right = _split_half(g2)
-    return (WHITE, meet(meet(g1, left), right))
+    return _bound(f1, f2, WHITE)
 
 
 def join(f1: DupForest, f2: DupForest) -> DupForest:
     """Componentwise least upper bound of forests in a common upset."""
+    return _bound(f1, f2, BLACK)
+
+
+def _bound(f1: DupForest, f2: DupForest, color: str) -> DupForest:
+    """The meet (color WHITE) or join (color BLACK) of f1 and f2, tree by
+    tree: trees of one color bound their children, and w(g) with b(g' g'')
+    meet in w(g ∧ g' ∧ g'') and join in b(g∨g' g∨g'') = b(g g ∨ g' g'')."""
     if len(f1) != len(f2):
         raise IncompatibleForests(
             f"forest length mismatch: {render_forest(f1)!r} vs {render_forest(f2)!r}")
-    return tuple(_tree_join(t1, t2) for t1, t2 in zip(f1, f2))
-
-
-def _tree_join(t1: DupTree, t2: DupTree) -> DupTree:
-    c1, g1 = t1
-    c2, g2 = t2
-    if c1 == c2:
-        return (c1, join(g1, g2))
-    if c1 == BLACK:
-        g1, g2 = g2, g1
-    left, right = _split_half(g2)
-    return (BLACK, join(g1, left) + join(g1, right))
+    out = []
+    for (c1, g1), (c2, g2) in zip(f1, f2):
+        if c1 == c2:
+            out.append((c1, _bound(g1, g2, color)))
+            continue
+        if c1 == BLACK:
+            g1, g2 = g2, g1
+        if len(g2) % 2:
+            raise IncompatibleForests(
+                f"black node with odd child count: {render_forest(g2)!r}")
+        half = len(g2) // 2
+        if color == WHITE:
+            out.append((WHITE, _bound(_bound(g1, g2[:half], WHITE),
+                                      g2[half:], WHITE)))
+        else:
+            out.append((BLACK, _bound(g1 + g1, g2, BLACK)))
+    return tuple(out)

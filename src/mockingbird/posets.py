@@ -154,11 +154,10 @@ def poset_analysis(g: ExploredPoset, check_lattice: bool = True) -> ExploredPose
     g.is_acyclic, reach = reachability(g.succ)
     g.reach = reach
 
-    above = 0  # union over i of reach[i] minus i itself
-    for i in range(n):
-        above |= reach[i] & ~(1 << i)
-    g.minimal = {i for i in range(n) if not (above >> i) & 1}
-    g.maximal = {i for i in range(n) if reach[i] == 1 << i}
+    # succ has no self-loops, so i lies above another node exactly when it
+    # is in another node's successor list, also on a cyclic graph
+    g.minimal = set(range(n)).difference(*g.succ)
+    g.maximal = {i for i in range(n) if not g.succ[i]}
 
     if not g.is_acyclic:
         g.covers = [[] for _ in range(n)]

@@ -353,6 +353,11 @@ def crosscheck_all(max_d: int = 12, gated: bool = False) -> CrosscheckReport:
     streaming element/edge oracle at ladder depth 5 (minutes of work)."""
     if max_d < 0:
         raise SequenceError("max_d must be >= 0")
+    # count max_d + 1 is ladder count max_d of a poset sequence
+    limit = min(LADDER_COUNT_LIMITS[method][name] - (name not in _POSET_SEQUENCES)
+                for method in ("recurrence", "series") for name in SEQUENCE_NAMES)
+    if max_d > limit:
+        raise SequenceError(f"max_d must be at most {limit}, got {max_d}")
     report = CrosscheckReport()
     count = max_d + 1
     for name in SEQUENCE_NAMES:
@@ -391,7 +396,7 @@ def crosscheck_all(max_d: int = 12, gated: bool = False) -> CrosscheckReport:
 
     # a_1(d) is the first moment of the upset sizes of the d-ladder upset
     moments = [sum(m * v for v, m in dist.items())
-               for dist in serieslib._upset_size_distributions(6)]
+               for dist in serieslib.upset_size_distributions(6)]
     ok = moments == rec_intervals
     report.record("intervals: upset-size moments vs recurrence (d <= 6)", ok,
                   "" if ok else f"got {moments}")

@@ -197,7 +197,7 @@ def _solve_classes(order: int) -> TruncSeries:
 _MOMENT_LEVELS = 4
 
 
-def _upset_size_distributions(levels: int) -> list[dict[int, int]]:
+def upset_size_distributions(levels: int) -> list[dict[int, int]]:
     """For d = 0..levels, the multiset {|up x| : x in P_d} as a map from
     size to multiplicity, where P_d is the upset of the d-ladder.
 
@@ -245,7 +245,7 @@ def solve_interval_family(order: int) -> dict[int, TruncSeries]:
     P_d is the upset of the d-ladder: levels d <= 4 are these moments, and
     ``interval_levels`` fills the rest to its demand bound, past which
     coefficients stay zero."""
-    dists = _upset_size_distributions(min(order, _MOMENT_LEVELS))
+    dists = upset_size_distributions(min(order, _MOMENT_LEVELS))
     start = [[0] * (1 << (order - d)) for d in range(len(dists))]
     for row, dist in zip(start, dists):
         for v, m in dist.items():

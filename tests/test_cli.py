@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -284,6 +285,13 @@ class TestCrosscheckCompare:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_crosscheck_refuses_past_its_limit(self, capsys):
+        # both methods admit every sequence up to max_d 13; past it the
+        # refusal names that limit, and no --method, which crosscheck lacks
+        code, out, err = run(capsys, "crosscheck", "--max-d", "14")
+        assert (code, out, err) == (
+            2, "", "error: max_d must be at most 13, got 14\n")
+
     def test_compare_match(self, capsys, tmp_path):
         path = tmp_path / "b.txt"
         path.write_text("0 1\n1 1\n2 2\n3 6\n4 42\n")
@@ -553,6 +561,21 @@ def test_closed_output_pipe_exits_141(argv, tmp_path):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+def test_out_of_memory_exits_2_with_one_line():
+    # the 75,852-node upset does not fit under a 150 MB address-space cap,
+    # set on the child only
+    src = str(Path(mockingbird.__file__).resolve().parents[1])
+    cap = 150_000_000
+    proc = subprocess.run(
+        [sys.executable, "-m", "mockingbird.cli", "check",
+         "M(M(M(M(MM))))(M(M(M(MM))))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: out of memory\n")
 
 
 class TestExportGraph:

@@ -290,13 +290,34 @@ class TestMeetJoin:
             assert meet(f, f) == f
             assert join(f, f) == f
 
+    @staticmethod
+    def _raise_both_ways(pairs, message):
+        for op in (meet, join):
+            for f1, f2 in pairs:
+                for a, b in ((f1, f2), (f2, f1)):
+                    with pytest.raises(IncompatibleForests, match=message):
+                        op(F(a), F(b))
+
     def test_length_mismatch(self):
-        with pytest.raises(IncompatibleForests):
-            meet(F("w w"), F("w"))
+        # at the top level, and one level down inside the mixed case, where
+        # w(w w) against b(w w) bounds w w against halves of length 1
+        self._raise_both_ways([("w w", "w"), ("w(w w)", "b(w w)"),
+                               ("w(w(w w))", "w(b(w w))")], "length mismatch")
 
     def test_odd_black_arity(self):
-        with pytest.raises(IncompatibleForests):
-            meet(F("w(w)"), F("b(w w w)"))
+        self._raise_both_ways([("w(w)", "b(w w w)"),
+                               ("w(w(w))", "w(b(w w w))")], "odd child count")
+
+    def test_deep_ladder(self):
+        # one frame per forest level: 500 levels stay under the default
+        # recursion limit.  Results are compared by compact_key, because ==
+        # on tuples nested this deep itself recurses past that limit.
+        f = ladder(500)
+        x = F(key_successors(compact_key(f))[-1])  # the innermost blackened
+        assert compact_key(meet(f, x)) == compact_key(f)
+        assert compact_key(join(f, x)) == compact_key(x)
+        assert compact_key(meet(x, x)) == compact_key(x)
+        assert compact_key(join(f, f)) == compact_key(f)
 
     def _sample_upsets(self):
         """Ladders to depth 4 plus 50 distinct random white forests whose

@@ -129,6 +129,21 @@ def test_hasse_edges_are_the_covers_of_reach(case):
     assert {(u, v) for u, vs in enumerate(g.covers) for v in vs} == covers
 
 
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_extremal_sets_are_read_off_reach(case):
+    n, edges = case
+    g = analyzed(n, edges)
+
+    def below(u, v):
+        return u != v and g.reach[u] >> v & 1
+
+    assert g.minimal == {v for v in range(n)
+                         if not any(below(u, v) for u in range(n))}
+    assert g.maximal == {u for u in range(n)
+                         if not any(below(u, v) for v in range(n))}
+
+
 def test_bowtie_has_bottom_but_not_every_join():
     # 0 < a, b < c, d < 5: a and b have two minimal upper bounds
     a, b, c, d = 1, 2, 3, 4

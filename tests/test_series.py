@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from mockingbird.sequences import GOLDEN_PREFIXES
 from mockingbird.series import (
     SeriesError,
-    _upset_size_distributions,
     interval_levels,
     polynomial,
     solve_equation,
     solve_interval_family,
+    upset_size_distributions,
 )
 from tests_util import (
     WholeSeries,
@@ -225,7 +225,7 @@ class TestResiduals:
 
     def test_upset_size_moments_are_the_golden_prefix(self):
         moments = [sum(m * v for v, m in dist.items())
-                   for dist in _upset_size_distributions(6)]
+                   for dist in upset_size_distributions(6)]
         assert moments == GOLDEN_PREFIXES["intervals"][1:]
 
     def test_interval_family_residual(self):
