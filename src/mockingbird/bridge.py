@@ -5,8 +5,13 @@ Terms are handled as prefix keys (terms.encode_term) and forests as compact
 keys, and both are stepped by string surgery (rewrite.key_redex_successors,
 forests.key_successors).  The verification transports fr along
 rewrite steps.  It holds each upset element as the pair of the prefix keys
-of its two sides, and steps each distinct side once per call: the sides
-come from the much smaller upsets of the start's two sides.
+of its two sides, and its forest by side as well: a triple (wrap, fa, fb)
+whose key is fa fb, or, when the start is M applied to a side other than
+M, w(fb) until that root redex fires and b(fa fb) after.  Each
+distinct side, term or forest, is stepped once per call: the sides come
+from the much smaller upsets of the start's two sides.  A step keeps the
+number of top-level trees of a forest, so the fa of one call all have the
+same tree count, and two triples are equal exactly when their keys are.
 """
 
 from __future__ import annotations
@@ -89,12 +94,21 @@ def erase_black(key: str) -> str:
     return "".join(out).replace("()", "")
 
 
-def _fr_injective(forest_keys: Iterable[str]) -> bool:
+def _render(x: tuple[str, str, str]) -> str:
+    """Compact forest key of the transported forest held as the triple
+    x = (wrap, fa, fb): fa fb, or wrapped in one node when wrap is a color."""
+    wrap, fa, fb = x
+    if not wrap:
+        return fa + fb
+    return f"{wrap}({fa}{fb})" if fa or fb else wrap
+
+
+def _fr_injective(forests: Iterable[tuple[str, str, str]]) -> bool:
     """Whether literal fr is injective on an upset, given the transported
-    forest keys of its elements; stops at the first repeated image."""
+    forests of its elements as triples; stops at the first repeated image."""
     images: set[str] = set()
-    for key in forest_keys:
-        image = erase_black(key)
+    for x in forests:
+        image = erase_black(_render(x))
         if image in images:
             return False
         images.add(image)
@@ -125,6 +139,28 @@ def _pair_successors(u: tuple[str, str],
     return fired
 
 
+def _forest_successors(x: tuple[str, str, str],
+                       steps: dict[str, list[str]]) -> list[tuple[str, str, str]]:
+    """The forests one blackening from the transported forest held as the
+    triple x = (wrap, fa, fb), as triples, in the pre-order of the blackened
+    white node in its key (_render): the wrapping white node w(fb) -> b(fb fb),
+    then the nodes in fa, then those in fb.  ``steps`` holds the
+    key_successors of each side met so far, and gains fa and fb."""
+    wrap, fa, fb = x
+    fired = [(BLACK, fb, fb)] if wrap == WHITE else []
+    side_steps = steps.get(fa)
+    if side_steps is None:
+        side_steps = steps[fa] = key_successors(fa)
+    for fa2 in side_steps:
+        fired.append((wrap, fa2, fb))
+    side_steps = steps.get(fb)
+    if side_steps is None:
+        side_steps = steps[fb] = key_successors(fb)
+    for fb2 in side_steps:
+        fired.append((wrap, fa, fb2))
+    return fired
+
+
 def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     """Check that the upset of t and the upset of fr_map(t) are isomorphic
     posets, using fr transported along rewrite steps as the candidate map.
@@ -140,9 +176,8 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     is a bijection matching non-loop steps on both sides — a poset
     isomorphism witnessed constructively.
 
-    The forest side is the compact key, stepped by key_successors.  Every
-    element above an application is an application, so the term side is
-    the pair of prefix keys (encode_term) of its two sides, and each
+    Every element above an application is an application, so the term side
+    is the pair of prefix keys (encode_term) of its two sides, and each
     distinct side is stepped once per call by key_redex_successors.  The
     successors of (a, b) are (b, b) when a is M and b is not, then (a', b)
     for each step a' of a, then (a, b') for each step b' of b: the redex
@@ -151,9 +186,22 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     are many and share their side strings.  A side too large to step
     raises ExplorationError (rewrite.MAX_STEP_SIZE).
 
+    The forest side is held by side too, as the triple (wrap, fa, fb) that
+    mirrors (a, b), and each distinct side forest is stepped once per call
+    by key_successors.  Its key is fa fb (wrap "") unless the start is M b0
+    with b0 not M; then it is w(fb) (or w, with fa empty) while the root
+    redex M b is unfired, and b(fa fb) (or b) after.  Its successors are
+    (BLACK, fb, fb) when wrap is WHITE, then (wrap, fa', fb) for each step
+    fa' of fa, then (wrap, fa, fb') for each step fb' of fb: the pre-order
+    of the white nodes in its key, as key_successors lists them.  The
+    triples stand for their keys exactly: a step keeps the number of
+    top-level trees, so every fa of one call has the same tree count and
+    fa fb splits in one way; a call meets wrap "" alone, or w and b, which
+    differ in their first letter.
+
     Literal fr of an upset element is its transported forest with the black
     nodes erased (erase_black), so fr_injective_on_upset is read off the
-    forest keys, without translating any element.
+    forests' keys, without translating any element; no other key is built.
 
     If the transport breaks down, the verdict is
     ``inconclusive(<detail>)``, naming the offending term: a failed
@@ -164,15 +212,16 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     if start[0] != ".":  # a leaf fires no redex, and fr maps it to no node
         return IsoReport(t, term_count=1, forest_count=1, fr_injective_on_upset=True,
                          cover_preserving=True, method="fr-transport", verdict="isomorphic")
-    start_key = fr_key(start)
     consistent = True
     detail = ""
     end = subterm_end(start, 1)
-    root = start[1:end], start[end:]
+    root = a0, b0 = start[1:end], start[end:]
+    forest = (WHITE if a0 == "M" != b0 else "", fr_key(a0), fr_key(b0))
     queue = deque([root])
-    assignment = {root: start_key}
-    forest_keys = {start_key}
+    assignment = {root: forest}
+    forests = {forest}  # the same triples as the values of assignment
     steps: dict[str, list[str]] = {}  # key_redex_successors of each side
+    forest_steps: dict[str, list[str]] = {}  # key_successors of each side
 
     def name(u: tuple[str, str]) -> str:
         return render_term(decode_term("." + u[0] + u[1], leaves))
@@ -180,29 +229,29 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     while queue and not detail:
         u = queue.popleft()
         fired = _pair_successors(u, steps)
-        blackenings = key_successors(assignment[u])
+        blackenings = _forest_successors(assignment[u], forest_steps)
         if len(fired) != len(blackenings):
             consistent = False
             detail = f"out-degree mismatch at {name(u)}"
-        for v, key2 in zip(fired, blackenings):
-            seen_key = assignment.get(v)
-            if seen_key is not None:
-                if seen_key != key2:
+        for v, x in zip(fired, blackenings):
+            seen = assignment.get(v)
+            if seen is not None:
+                if seen != x:
                     consistent = False
                     detail = f"transport conflict at {name(v)}"
                     break
                 continue
-            if key2 in forest_keys:
+            if x in forests:
                 detail = f"forest collision at {name(v)}"
                 break
             if len(assignment) >= budget:
                 raise ExplorationError("budget exhausted during verification")
-            assignment[v] = key2
-            forest_keys.add(key2)
+            assignment[v] = x
+            forests.add(x)
             queue.append(v)
 
     return IsoReport(
-        term=t, term_count=len(assignment), forest_count=len(forest_keys),
+        term=t, term_count=len(assignment), forest_count=len(forests),
         fr_injective_on_upset=not detail and _fr_injective(assignment.values()),
         cover_preserving=consistent,
         method="fr-transport",

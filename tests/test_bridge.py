@@ -12,6 +12,7 @@ from mockingbird.bridge import (
     verify_fr_isomorphism,
 )
 from mockingbird.forests import (
+    WHITE,
     compact_key,
     forest_upset,
     key_successors,
@@ -170,6 +171,28 @@ class TestStringKeys:
                 frontier += [v for v in flat if v not in seen]
                 seen.update(flat)
 
+    @pytest.mark.parametrize("variables", [0, 2])
+    def test_triple_step_matches_flat_step(self, variables):
+        # the transport holds a forest as the triple of its sides; rendered,
+        # its successors are key_successors of its key, in the same order
+        from tests_util import random_m_term
+
+        rng = random.Random(37 + variables)
+        for _ in range(500):
+            key, _ = encode_term(random_m_term(rng, rng.randint(1, 6), variables))
+            end = subterm_end(key, 1)
+            a, b = key[1:end], key[end:]
+            start = (WHITE if a == "M" != b else "", fr_key(a), fr_key(b))
+            assert bridge._render(start) == fr_key(key)
+            steps, seen, frontier = {}, {start}, [start]
+            while frontier:
+                x = frontier.pop()
+                triples = bridge._forest_successors(x, steps)
+                flat = key_successors(bridge._render(x))
+                assert [bridge._render(y) for y in triples] == flat
+                frontier += [y for y in triples if y not in seen]
+                seen.update(triples)
+
     def test_erase_black(self):
         assert erase_black("") == ""
         assert erase_black("b") == ""
@@ -276,17 +299,56 @@ class TestIsomorphism:
         assert culprit in explore_component(SYS_M, t, "up").nodes
 
     def test_steps_each_distinct_side_once(self, monkeypatch):
-        # the 1,806 elements of up(r5) are pairs of sides from up(r4) and M
-        stepped = []
+        # the 1,806 elements of up(r5) are pairs of sides from up(r4) and M,
+        # and their forests triples of sides from up(ladder(3)) and the
+        # empty forest
+        stepped, blackened = [], []
 
         def step(key):
             stepped.append(key)
             return key_redex_successors(key)
 
+        def blacken(key):
+            blackened.append(key)
+            return key_successors(key)
+
         monkeypatch.setattr(bridge, "key_redex_successors", step)
+        monkeypatch.setattr(bridge, "key_successors", blacken)
         rep = verify_fr_isomorphism(right_comb(5))
         assert rep.term_count == 1806
         assert len(stepped) == len(set(stepped)) == 43
+        assert len(blackened) == len(set(blackened)) == 43
+
+    def test_reports_match_flat_transport(self):
+        # every field, or the same ExplorationError, as the transport on
+        # whole keys: the combinators of degree <= 6 (all but r6 have at
+        # most 20,000 elements) and random terms with variables
+        from tests_util import fr_transport_flat, random_m_term
+
+        def reports(t):
+            out = []
+            for transport in (fr_transport_flat, verify_fr_isomorphism):
+                try:
+                    out.append(transport(t, 20_000))
+                except ExplorationError:
+                    out.append(ExplorationError)
+            return out
+
+        rng = random.Random(38)
+        draws = [random_m_term(rng, rng.randint(0, 12), rng.randint(0, 2))
+                 for _ in range(500)]
+        combinators = [t for degree in range(7) for t in all_combinators(degree)]
+        verdicts = set()
+        for t in combinators + draws:
+            flat, by_sides = reports(t)
+            assert by_sides == flat, t
+            verdicts.add(flat if flat is ExplorationError else flat.fr_injective_on_upset)
+        assert verdicts == {ExplorationError, True, False}
+
+    def test_budget_boundary(self):
+        with pytest.raises(ExplorationError, match="budget"):
+            verify_fr_isomorphism(right_comb(5), budget=1805)
+        assert verify_fr_isomorphism(right_comb(5), budget=1806).term_count == 1806
 
     def test_budget_exhaustion(self):
         with pytest.raises(ExplorationError):

@@ -3,7 +3,7 @@ the library's code is compared against: the recursive term parser, the
 rewrite step on Term objects with its substitution, pattern matching and
 full rendering, the two-pass breadth-first closure, the confluence probe
 by pairwise upset walks, the forest step on nested tuples, the M step by
-redex paths, the recursive fr, the
+redex paths, the recursive fr, the fr-transport on whole keys, the
 combinators of a degree built as terms (decoded from their keys, and level
 by level), the whole-series operators on
 truncated series, the catalytic interval rule by recursion and by its
@@ -18,11 +18,12 @@ from itertools import accumulate, product
 from math import comb
 
 from mockingbird import sequences
+from mockingbird.bridge import IsoReport, erase_black, fr_key
 from mockingbird.forests import (BLACK, EMPTY, WHITE, DupForest, compact_key,
-                                 forest_upset, meet)
+                                 forest_upset, key_successors, meet)
 from mockingbird.oracle import OracleError, combinator_keys
 from mockingbird.posets import ExplorationError, ExploredPoset, down_sets, poset_analysis
-from mockingbird.rewrite import ConfluenceReport, _KeyRules
+from mockingbird.rewrite import ConfluenceReport, _KeyRules, key_redex_successors
 from mockingbird.series import SeriesError, TruncSeries
 from mockingbird.terms import (
     Application,
@@ -34,6 +35,8 @@ from mockingbird.terms import (
     app,
     basic,
     decode_term,
+    encode_term,
+    render_term,
     subterms_preorder,
     var,
 )
@@ -437,6 +440,58 @@ def fr_map_recursive(t):
     if isinstance(right, Variable):
         return ((WHITE, EMPTY),)
     return EMPTY  # M M
+
+
+def fr_transport_flat(t, budget):
+    """verify_fr_isomorphism on whole keys: each upset element is its prefix
+    key, stepped by key_redex_successors, and its transported forest is its
+    compact key, stepped by key_successors.  The reference for the
+    transport by sides; it raises ExplorationError where that does."""
+    start, leaves = encode_term(t)
+    if start[0] != ".":
+        return IsoReport(t, term_count=1, forest_count=1, fr_injective_on_upset=True,
+                         cover_preserving=True, method="fr-transport", verdict="isomorphic")
+    start_key = fr_key(start)
+    consistent = True
+    detail = ""
+    queue = deque([start])
+    assignment = {start: start_key}
+    forest_keys = {start_key}
+
+    def name(u):
+        return render_term(decode_term(u, leaves))
+
+    while queue and not detail:
+        u = queue.popleft()
+        fired = key_redex_successors(u)
+        blackenings = key_successors(assignment[u])
+        if len(fired) != len(blackenings):
+            consistent = False
+            detail = f"out-degree mismatch at {name(u)}"
+        for v, key2 in zip(fired, blackenings):
+            seen_key = assignment.get(v)
+            if seen_key is not None:
+                if seen_key != key2:
+                    consistent = False
+                    detail = f"transport conflict at {name(v)}"
+                    break
+                continue
+            if key2 in forest_keys:
+                detail = f"forest collision at {name(v)}"
+                break
+            if len(assignment) >= budget:
+                raise ExplorationError("budget exhausted during verification")
+            assignment[v] = key2
+            forest_keys.add(key2)
+            queue.append(v)
+
+    images = [erase_black(key) for key in assignment.values()]
+    return IsoReport(
+        term=t, term_count=len(assignment), forest_count=len(forest_keys),
+        fr_injective_on_upset=not detail and len(set(images)) == len(images),
+        cover_preserving=consistent,
+        method="fr-transport",
+        verdict=f"inconclusive({detail})" if detail else "isomorphic")
 
 
 def progressing_redexes(t):
