@@ -3,22 +3,23 @@ verification that the term upset and the forest upset are isomorphic posets.
 
 Terms are handled as prefix keys (terms.encode_term) and forests as compact
 keys, and both are stepped by string surgery (rewrite.key_redex_successors,
-forests.key_successors).  The verification transports fr along
-rewrite steps.  It holds each upset element as the pair of the prefix keys
-of its two sides, and its forest by side as well: a triple (wrap, fa, fb)
-whose key is fa fb, or, when the start is M applied to a side other than
-M, w(fb) until that root redex fires and b(fa fb) after.  Each
-distinct side, term or forest, is stepped once per call: the sides come
-from the much smaller upsets of the start's two sides.  A step keeps the
-number of top-level trees of a forest, so the fa of one call all have the
-same tree count, and two triples are equal exactly when their keys are.
+forests.key_successors).  The verification transports fr along rewrite
+steps over the upset of each side of the start, not over the whole upset:
+for a start a b with a not M, the upset is the product of the upsets of a
+and b, and its forests are fa fb; for M b with b not M, it is the elements
+M b', whose forests are w(fb'), together with the product of up(b) with
+itself, whose forests are b(fb fb').  Steps and white nodes split side by
+side in the same order, so the transport holds on the product exactly when
+it holds on each side, and the counts are products of the side counts.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import product
+from math import isqrt
+from typing import Optional
 
 from .forests import BLACK, WHITE, DupForest, key_successors, parse_forest
 from .posets import DEFAULT_BUDGET, ExplorationError
@@ -94,71 +95,52 @@ def erase_black(key: str) -> str:
     return "".join(out).replace("()", "")
 
 
-def _render(x: tuple[str, str, str]) -> str:
-    """Compact forest key of the transported forest held as the triple
-    x = (wrap, fa, fb): fa fb, or wrapped in one node when wrap is a color."""
-    wrap, fa, fb = x
-    if not wrap:
-        return fa + fb
-    return f"{wrap}({fa}{fb})" if fa or fb else wrap
+def _transport(side: str, cap: int) -> tuple[dict[str, str], str, str]:
+    """fr transported over the upset of the term with prefix key side: the
+    forest key of each element reached, then the first breakdown and the
+    element it names ("" and "" when there is none).  The term key is
+    stepped by key_redex_successors and the forest key by key_successors,
+    and the i-th successor of one is paired with the i-th of the other.
+    Reaching more than cap elements raises ExplorationError."""
+    assignment = {side: fr_key(side)}
+    forests = set(assignment.values())
+    queue = deque(assignment)
+    while queue:
+        u = queue.popleft()
+        fired = key_redex_successors(u)
+        blackenings = key_successors(assignment[u])
+        if len(fired) != len(blackenings):
+            return assignment, "out-degree mismatch", u
+        for v, key in zip(fired, blackenings):
+            seen = assignment.get(v)
+            if seen is not None:
+                if seen != key:
+                    return assignment, "transport conflict", v
+                continue
+            if key in forests:
+                return assignment, "forest collision", v
+            if len(assignment) >= cap:
+                raise ExplorationError("budget exhausted during verification")
+            assignment[v] = key
+            forests.add(key)
+            queue.append(v)
+    return assignment, "", ""
 
 
-def _fr_injective(forests: Iterable[tuple[str, str, str]]) -> bool:
-    """Whether literal fr is injective on an upset, given the transported
-    forests of its elements as triples; stops at the first repeated image."""
-    images: set[str] = set()
-    for x in forests:
-        image = erase_black(_render(x))
+def _fr_injective(images_a: list[str], images_b: list[str], wrapped: bool) -> bool:
+    """Whether literal fr is injective on the upset whose sides have these
+    erase_black images: ea eb for the pairs of sides, and, when wrapped
+    (images_a is then images_b), w(eb) for each M b'.  Stops at the first
+    repeated image."""
+    if len(set(images_a)) < len(images_a) or len(set(images_b)) < len(images_b):
+        return False
+    images = {f"w({eb})" if eb else "w" for eb in images_b} if wrapped else set()
+    for ea, eb in product(images_a, images_b):
+        image = ea + eb
         if image in images:
             return False
         images.add(image)
     return True
-
-
-def _pair_successors(u: tuple[str, str],
-                     steps: dict[str, list[str]]) -> list[tuple[str, str]]:
-    """The terms one progressing redex from the application whose sides have
-    the prefix keys u = (a, b), as pairs of sides, in the redex order of its
-    prefix key "." + a + b: the root redex M b -> b b, then those in a, then
-    those in b.  ``steps`` holds the key_redex_successors of each side met
-    so far, and gains a and b."""
-    a, b = u
-    # loops, not comprehensions, which cost a call each on Python 3.11:
-    # most of these lists are empty or short
-    fired = [(b, b)] if a == "M" != b else []
-    side_steps = steps.get(a)
-    if side_steps is None:
-        side_steps = steps[a] = key_redex_successors(a)
-    for a2 in side_steps:
-        fired.append((a2, b))
-    side_steps = steps.get(b)
-    if side_steps is None:
-        side_steps = steps[b] = key_redex_successors(b)
-    for b2 in side_steps:
-        fired.append((a, b2))
-    return fired
-
-
-def _forest_successors(x: tuple[str, str, str],
-                       steps: dict[str, list[str]]) -> list[tuple[str, str, str]]:
-    """The forests one blackening from the transported forest held as the
-    triple x = (wrap, fa, fb), as triples, in the pre-order of the blackened
-    white node in its key (_render): the wrapping white node w(fb) -> b(fb fb),
-    then the nodes in fa, then those in fb.  ``steps`` holds the
-    key_successors of each side met so far, and gains fa and fb."""
-    wrap, fa, fb = x
-    fired = [(BLACK, fb, fb)] if wrap == WHITE else []
-    side_steps = steps.get(fa)
-    if side_steps is None:
-        side_steps = steps[fa] = key_successors(fa)
-    for fa2 in side_steps:
-        fired.append((wrap, fa2, fb))
-    side_steps = steps.get(fb)
-    if side_steps is None:
-        side_steps = steps[fb] = key_successors(fb)
-    for fb2 in side_steps:
-        fired.append((wrap, fa, fb2))
-    return fired
 
 
 def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
@@ -169,90 +151,64 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     the isomorphism; instead its local structure is transported: the i-th
     progressing redex of a term is paired with the i-th white node of its
     assigned forest, and firing the redex is matched with blackening the
-    node.  The product graph is explored breadth-first from (t, fr(t)) on
-    strings, by string surgery on both sides; no Term is built.  If the
-    resulting term-to-forest assignment is well defined (independent of the
-    path taken) and injective, and the out-degrees agree everywhere, then it
-    is a bijection matching non-loop steps on both sides — a poset
-    isomorphism witnessed constructively.
+    node.  If the resulting term-to-forest assignment is well defined
+    (independent of the path taken) and injective, and the out-degrees
+    agree everywhere, then it is a bijection matching non-loop steps on
+    both sides — a poset isomorphism witnessed constructively.
 
-    Every element above an application is an application, so the term side
-    is the pair of prefix keys (encode_term) of its two sides, and each
-    distinct side is stepped once per call by key_redex_successors.  The
-    successors of (a, b) are (b, b) when a is M and b is not, then (a', b)
-    for each step a' of a, then (a, b') for each step b' of b: the redex
-    order of the prefix key "." + a + b.  The sides come from the upsets of
-    the start's two sides, so the steps held are few, while the elements
-    are many and share their side strings.  A side too large to step
-    raises ExplorationError (rewrite.MAX_STEP_SIZE).
+    The transport walks the upset of each distinct side of the start
+    t = a b once, on strings; no Term is built, and no element of the
+    whole upset is visited.  The redexes of "." + a + b are the root
+    redex M b -> b b (when a is M and b is not), then those of a, then
+    those of b; the white nodes of fa fb are those of fa, then those of
+    fb, and those of w(fb) are the root, whose blackening gives b(fb fb),
+    then those of fb.  So the steps of an element are the steps of its
+    sides, in the same order, and the transport is well defined, keeps
+    out-degrees and is injective on the whole upset exactly when it is on
+    each side's upset.  A step keeps the number of top-level trees of a
+    forest, so fa fb splits in one way and the side forests count the
+    product's.  The upset has n_a * n_b elements, or n_b + n_b**2 when
+    a is M and b is not (the elements M b' and the pairs of up(b)); more
+    than budget raises ExplorationError, and each side walk stops at the
+    largest side count the budget admits.  A side too large to step
+    raises ExplorationError too (rewrite.MAX_STEP_SIZE).
 
-    The forest side is held by side too, as the triple (wrap, fa, fb) that
-    mirrors (a, b), and each distinct side forest is stepped once per call
-    by key_successors.  Its key is fa fb (wrap "") unless the start is M b0
-    with b0 not M; then it is w(fb) (or w, with fa empty) while the root
-    redex M b is unfired, and b(fa fb) (or b) after.  Its successors are
-    (BLACK, fb, fb) when wrap is WHITE, then (wrap, fa', fb) for each step
-    fa' of fa, then (wrap, fa, fb') for each step fb' of fb: the pre-order
-    of the white nodes in its key, as key_successors lists them.  The
-    triples stand for their keys exactly: a step keeps the number of
-    top-level trees, so every fa of one call has the same tree count and
-    fa fb splits in one way; a call meets wrap "" alone, or w and b, which
-    differ in their first letter.
+    Literal fr of an upset element is its transported forest with the
+    black nodes erased (erase_black), and the erasure of a concatenation
+    is the concatenation of the erasures, so fr_injective_on_upset is read
+    off the erased forests of the sides.
 
-    Literal fr of an upset element is its transported forest with the black
-    nodes erased (erase_black), so fr_injective_on_upset is read off the
-    forests' keys, without translating any element; no other key is built.
-
-    If the transport breaks down, the verdict is
-    ``inconclusive(<detail>)``, naming the offending term: a failed
+    If the transport breaks down on a side s, the verdict is
+    ``inconclusive(<detail>)``, naming the term s b or a s: a failed
     transport does not prove the posets non-isomorphic.  The counts are
-    then those of the pairs reached before the break.
+    then the product's over the side elements reached.
     """
     start, leaves = encode_term(t)
     if start[0] != ".":  # a leaf fires no redex, and fr maps it to no node
         return IsoReport(t, term_count=1, forest_count=1, fr_injective_on_upset=True,
                          cover_preserving=True, method="fr-transport", verdict="isomorphic")
-    consistent = True
-    detail = ""
+    budget = max(budget, 1)  # the start is held whatever the budget
     end = subterm_end(start, 1)
-    root = a0, b0 = start[1:end], start[end:]
-    forest = (WHITE if a0 == "M" != b0 else "", fr_key(a0), fr_key(b0))
-    queue = deque([root])
-    assignment = {root: forest}
-    forests = {forest}  # the same triples as the values of assignment
-    steps: dict[str, list[str]] = {}  # key_redex_successors of each side
-    forest_steps: dict[str, list[str]] = {}  # key_successors of each side
-
-    def name(u: tuple[str, str]) -> str:
-        return render_term(decode_term("." + u[0] + u[1], leaves))
-
-    while queue and not detail:
-        u = queue.popleft()
-        fired = _pair_successors(u, steps)
-        blackenings = _forest_successors(assignment[u], forest_steps)
-        if len(fired) != len(blackenings):
-            consistent = False
-            detail = f"out-degree mismatch at {name(u)}"
-        for v, x in zip(fired, blackenings):
-            seen = assignment.get(v)
-            if seen is not None:
-                if seen != x:
-                    consistent = False
-                    detail = f"transport conflict at {name(v)}"
-                    break
-                continue
-            if x in forests:
-                detail = f"forest collision at {name(v)}"
-                break
-            if len(assignment) >= budget:
-                raise ExplorationError("budget exhausted during verification")
-            assignment[v] = x
-            forests.add(x)
-            queue.append(v)
-
+    a0, b0 = start[1:end], start[end:]
+    wrapped = a0 == "M" != b0
+    side_a, failure, culprit = _transport(a0, budget)
+    if failure:  # b0 alone is reached on its side
+        side_b, culprit = {b0: fr_key(b0)}, "." + culprit + b0
+    else:
+        cap = (isqrt(4 * budget + 1) - 1) // 2 if wrapped else budget // len(side_a)
+        side_b, failure, culprit = (side_a, "", "") if b0 == a0 else _transport(b0, cap)
+        if len(side_b) > cap:
+            raise ExplorationError("budget exhausted during verification")
+        culprit = "." + a0 + culprit
+    n_b = len(side_b)
+    count = n_b + n_b * n_b if wrapped else len(side_a) * n_b
+    images_b = [erase_black(key) for key in side_b.values()]
+    images_a = images_b if wrapped else [erase_black(key) for key in side_a.values()]
+    injective = not failure and _fr_injective(images_a, images_b, wrapped)
+    detail = f"{failure} at {render_term(decode_term(culprit, leaves))}" if failure else ""
     return IsoReport(
-        term=t, term_count=len(assignment), forest_count=len(forests),
-        fr_injective_on_upset=not detail and _fr_injective(assignment.values()),
-        cover_preserving=consistent,
+        term=t, term_count=count, forest_count=count,
+        fr_injective_on_upset=injective,
+        cover_preserving=failure in ("", "forest collision"),
         method="fr-transport",
         verdict=f"inconclusive({detail})" if detail else "isomorphic")

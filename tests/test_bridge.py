@@ -12,6 +12,7 @@ from mockingbird.bridge import (
     verify_fr_isomorphism,
 )
 from mockingbird.forests import (
+    BLACK,
     WHITE,
     compact_key,
     forest_upset,
@@ -154,44 +155,57 @@ class TestStringKeys:
 
     @pytest.mark.parametrize("variables", [0, 2])
     def test_pair_step_matches_flat_step(self, variables):
-        # the transport steps an element as the pair of its sides; joined
-        # back, its successors are the flat step's, in the same order
+        # the transport walks sides, not elements: the steps of an
+        # application "." + a + b are the root redex M b -> b b, then a's
+        # steps, then b's
         from tests_util import random_m_term
 
         rng = random.Random(35 + variables)
         for _ in range(500):
             key, _ = encode_term(random_m_term(rng, rng.randint(1, 6), variables))
-            steps, seen, frontier = {}, {key}, [key]
+            seen, frontier = {key}, [key]
             while frontier:
                 u = frontier.pop()
-                end = subterm_end(u, 1)
-                pairs = bridge._pair_successors((u[1:end], u[end:]), steps)
                 flat = key_redex_successors(u)
-                assert ["." + a + b for a, b in pairs] == flat
+                end = subterm_end(u, 1)
+                a, b = u[1:end], u[end:]
+                assert flat == (["." + b + b] if a == "M" != b else []) + \
+                    ["." + a2 + b for a2 in key_redex_successors(a)] + \
+                    ["." + a + b2 for b2 in key_redex_successors(b)]
                 frontier += [v for v in flat if v not in seen]
                 seen.update(flat)
 
     @pytest.mark.parametrize("variables", [0, 2])
-    def test_triple_step_matches_flat_step(self, variables):
-        # the transport holds a forest as the triple of its sides; rendered,
-        # its successors are key_successors of its key, in the same order
+    def test_split_forest_step_matches_flat_step(self, variables):
+        # the white nodes of fa fb are fa's, then fb's; those of w(fb) are
+        # the root, which blackens to b(fb fb), then fb's
         from tests_util import random_m_term
+
+        def upset(key, limit=12):
+            seen, frontier = [key], [key]
+            while frontier and len(seen) < limit:
+                new = [y for y in key_successors(frontier.pop(0)) if y not in seen]
+                seen += new
+                frontier += new
+            return seen
+
+        def wrap(color, key):
+            return f"{color}({key})" if key else color
 
         rng = random.Random(37 + variables)
         for _ in range(500):
-            key, _ = encode_term(random_m_term(rng, rng.randint(1, 6), variables))
+            key, _ = encode_term(random_m_term(rng, rng.randint(1, 10), variables))
             end = subterm_end(key, 1)
             a, b = key[1:end], key[end:]
-            start = (WHITE if a == "M" != b else "", fr_key(a), fr_key(b))
-            assert bridge._render(start) == fr_key(key)
-            steps, seen, frontier = {}, {start}, [start]
-            while frontier:
-                x = frontier.pop()
-                triples = bridge._forest_successors(x, steps)
-                flat = key_successors(bridge._render(x))
-                assert [bridge._render(y) for y in triples] == flat
-                frontier += [y for y in triples if y not in seen]
-                seen.update(triples)
+            fbs = upset(fr_key(b))
+            for fa in upset(fr_key(a)):
+                for fb in fbs:
+                    assert key_successors(fa + fb) == \
+                        [fa2 + fb for fa2 in key_successors(fa)] + \
+                        [fa + fb2 for fb2 in key_successors(fb)]
+            for fb in fbs:
+                assert key_successors(wrap(WHITE, fb)) == [wrap(BLACK, fb + fb)] + \
+                    [wrap(WHITE, fb2) for fb2 in key_successors(fb)]
 
     def test_erase_black(self):
         assert erase_black("") == ""
@@ -299,9 +313,9 @@ class TestIsomorphism:
         assert culprit in explore_component(SYS_M, t, "up").nodes
 
     def test_steps_each_distinct_side_once(self, monkeypatch):
-        # the 1,806 elements of up(r5) are pairs of sides from up(r4) and M,
-        # and their forests triples of sides from up(ladder(3)) and the
-        # empty forest
+        # the 1,806 elements of up(r5) are M r4' and the pairs of up(r4), so
+        # the transport walks the 42 terms of up(r4), with their forests
+        # from up(ladder(3)), and the side M, whose forest is empty
         stepped, blackened = [], []
 
         def step(key):
@@ -344,6 +358,39 @@ class TestIsomorphism:
             assert by_sides == flat, t
             verdicts.add(flat if flat is ExplorationError else flat.fr_injective_on_upset)
         assert verdicts == {ExplorationError, True, False}
+
+    def test_reports_match_flat_transport_degree_7(self):
+        # the transport workload's range: the combinators of degree 7 whose
+        # upsets have at most 2,000 elements, many of them products whose
+        # images the injectivity check enumerates
+        from tests_util import fr_transport_flat
+
+        checked, verdicts = 0, set()
+        for t in all_combinators(7):
+            try:
+                flat = fr_transport_flat(t, 2_000)
+            except ExplorationError:
+                continue
+            assert verify_fr_isomorphism(t, 2_000) == flat, t
+            checked += 1
+            verdicts.add(flat.fr_injective_on_upset)
+        assert checked > 300 and verdicts == {True, False}
+
+    def test_r6_counts_by_product(self):
+        # acceptance 5b's largest upset: 1,806 + 1,806**2 elements, counted
+        # from its side up(r5) walked once, with repeated images
+        rep = verify_fr_isomorphism(right_comb(6))
+        assert rep.term_count == rep.forest_count == 3_263_442
+        assert not rep.fr_injective_on_upset
+        assert rep.isomorphic and rep.cover_preserving
+
+    def test_r7_refused_from_side_size(self):
+        # 3,263,442 + 3,263,442**2 elements: the side walk of up(r6) stops
+        # at the largest side the budget admits
+        start = time.perf_counter()
+        with pytest.raises(ExplorationError, match="budget"):
+            verify_fr_isomorphism(right_comb(7))
+        assert time.perf_counter() - start < 2
 
     def test_budget_boundary(self):
         with pytest.raises(ExplorationError, match="budget"):
