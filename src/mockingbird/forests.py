@@ -4,8 +4,12 @@ step, upset exploration, and the meet/join lattice operations.
 A forest is a tuple of trees; a tree is a pair ``(color, children)`` with
 color ``"w"`` or ``"b"`` and children again a forest.  Nested tuples are the
 public type.  Meet and join are one rule, recursing one frame per forest
-level (about 990 levels at the default recursion limit); the duplication
-step runs on compact keys (the space-free rendering) by string surgery.
+level (about 990 levels at the default recursion limit).  Their results
+reuse the arguments' tree objects, which is safe because the trees are
+immutable tuples, and are f1 itself when the bound equals f1; so their cost
+follows the number of tree positions where the arguments differ.  The
+duplication step runs on compact keys (the space-free rendering) by string
+surgery.
 Parsing and printing run without recursion, on forests of any depth.
 """
 
@@ -173,24 +177,46 @@ def join(f1: DupForest, f2: DupForest) -> DupForest:
 def _bound(f1: DupForest, f2: DupForest, color: str) -> DupForest:
     """The meet (color WHITE) or join (color BLACK) of f1 and f2, tree by
     tree: trees of one color bound their children, and w(g) with b(g' g'')
-    meet in w(g ∧ g' ∧ g'') and join in b(g∨g' g∨g'') = b(g g ∨ g' g'')."""
+    meet in w(g ∧ g' ∧ g'') and join in b(g' g'' ∨ g g).
+
+    The result shares structure with the arguments, which is safe because
+    forests are immutable: an identical pair is its own bound, a tree whose
+    children come back unchanged is reused, and f1 itself is returned when
+    every tree of it is.  The side of the result's color goes first in each
+    recursive call, so by induction the result is f1 itself whenever the
+    bound equals f1.  The work follows the positions where f1 and f2 differ."""
+    if f1 is f2:
+        return f1
     if len(f1) != len(f2):
         raise IncompatibleForests(
             f"forest length mismatch: {render_forest(f1)!r} vs {render_forest(f2)!r}")
-    out = []
-    for (c1, g1), (c2, g2) in zip(f1, f2):
-        if c1 == c2:
-            out.append((c1, _bound(g1, g2, color)))
-            continue
-        if c1 == BLACK:
-            g1, g2 = g2, g1
-        if len(g2) % 2:
-            raise IncompatibleForests(
-                f"black node with odd child count: {render_forest(g2)!r}")
-        half = len(g2) // 2
-        if color == WHITE:
-            out.append((WHITE, _bound(_bound(g1, g2[:half], WHITE),
-                                      g2[half:], WHITE)))
+    out = None  # the result's trees, from the first one that is not f1's
+    for i in range(len(f1)):
+        t1 = f1[i]
+        t2 = f2[i]
+        if t1 is t2:
+            t = t1
         else:
-            out.append((BLACK, _bound(g1 + g1, g2, BLACK)))
-    return tuple(out)
+            c1, g1 = t1
+            c2, g2 = t2
+            if c1 == c2:
+                g = _bound(g1, g2, color)
+                t = t1 if g is g1 else t2 if g is g2 else (c1, g)
+            else:
+                white, black = (t1, t2) if c1 == WHITE else (t2, t1)
+                gw, gb = white[1], black[1]
+                if len(gb) % 2:
+                    raise IncompatibleForests(
+                        f"black node with odd child count: {render_forest(gb)!r}")
+                if color == WHITE:
+                    half = len(gb) // 2
+                    g = _bound(_bound(gw, gb[:half], WHITE), gb[half:], WHITE)
+                    t = white if g is gw else (WHITE, g)
+                else:
+                    g = _bound(gb, gw + gw, BLACK)
+                    t = black if g is gb else (BLACK, g)
+        if out is not None:
+            out.append(t)
+        elif t is not t1:
+            out = [*f1[:i], t]
+    return f1 if out is None else tuple(out)

@@ -198,12 +198,6 @@ def key_redex_successors(key: str) -> list[str]:
     return out
 
 
-def step_successors(sys: CLSystem, t: Term) -> set[Term]:
-    """All one-step rewrites of t under context closure (self-loops kept)."""
-    rules = _KeyRules(sys, t)
-    return {rules.decode(key) for key in rules.successors(rules.start)}
-
-
 def explore_component(sys: CLSystem, t: Term, direction: str = "up",
                       budget: int = DEFAULT_BUDGET) -> ExploredPoset:
     """BFS closure of the step from t: its upset.  The walk runs on prefix

@@ -17,7 +17,7 @@ from mockingbird.cli import main as cli_main
 from mockingbird.forests import compact_key, forest_upset, join, ladder, meet, parse_forest
 from mockingbird.posets import down_sets, poset_analysis
 from mockingbird.terms import parse_term
-from tests_util import all_combinators, oracle_ni, oracle_ns, term_metrics
+from tests_util import all_combinators, oracle_ni, oracle_ns, step_successors, term_metrics
 
 SYS_M = rewrite.load_system("builtin:M")
 GATED = bool(os.environ.get("MOCKINGBIRD_RUN_GATED"))
@@ -155,7 +155,7 @@ def test_criterion_9_property_suites():
         for t in all_combinators(degree):
             h = term_metrics(t).height
             assert all(term_metrics(u).height == h
-                       for u in rewrite.step_successors(SYS_M, t))
+                       for u in step_successors(SYS_M, t))
 
     # acyclicity and unique extremes of every explored component (deg <= 5)
     for degree in range(6):

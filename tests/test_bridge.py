@@ -21,11 +21,10 @@ from mockingbird.forests import (
     render_forest,
 )
 from mockingbird.posets import ExplorationError
-from mockingbird.rewrite import (explore_component, key_redex_successors, load_system,
-                                 step_successors)
+from mockingbird.rewrite import explore_component, key_redex_successors, load_system
 from mockingbird.terms import TermError, decode_term, encode_term, parse_term, subterm_end
 from tests_util import (all_combinators, fire_redex, fr_map_recursive, is_white_only,
-                        progressing_redexes, right_comb)
+                        progressing_redexes, right_comb, step_successors)
 
 SYS_M = load_system("builtin:M")
 

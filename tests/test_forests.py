@@ -24,6 +24,7 @@ from mockingbird.forests import (
 from mockingbird.posets import DEFAULT_BUDGET, down_sets, poset_analysis
 from tests_util import (
     black_count,
+    bound_reference,
     brute_glb,
     brute_lub,
     forest_height,
@@ -318,6 +319,16 @@ class TestMeetJoin:
         assert compact_key(join(f, x)) == compact_key(x)
         assert compact_key(meet(x, x)) == compact_key(x)
         assert compact_key(join(f, f)) == compact_key(f)
+        # 900 levels, near the limit that pytest's own frames leave (about
+        # 959 levels; 997 in a bare interpreter), with the outermost and the
+        # innermost node blackened, in both argument orders
+        f = ladder(900)
+        keys = key_successors(compact_key(f))
+        for key in (keys[0], keys[-1]):
+            x = F(key)
+            for a, b in ((f, x), (x, f)):
+                assert compact_key(meet(a, b)) == compact_key(f)
+                assert compact_key(join(a, b)) == key
 
     def _sample_upsets(self):
         """Ladders to depth 4 plus 50 distinct random white forests whose
@@ -335,6 +346,42 @@ class TestMeetJoin:
             if forest_upset(f, budget=2000).is_complete:
                 bases.append(f)
         return bases
+
+    # the nodes as forest_upset returns them share equal subtrees; each one
+    # parsed back on its own shares no tree with the other argument
+    VIEWS = pytest.mark.parametrize(
+        "view", [lambda f: f, lambda f: F(compact_key(f))], ids=["shared", "apart"])
+
+    @VIEWS
+    def test_meet_join_equal_reference(self, view):
+        rng = random.Random(2718)
+        for base in self._sample_upsets():
+            nodes = forest_upset(base).nodes
+            for _ in range(300):
+                x, y = view(rng.choice(nodes)), view(rng.choice(nodes))
+                assert compact_key(meet(x, y)) == \
+                    compact_key(bound_reference(x, y, WHITE))
+                assert compact_key(join(x, y)) == \
+                    compact_key(bound_reference(x, y, BLACK))
+
+    @VIEWS
+    def test_bounds_share_their_arguments(self, view):
+        # for x <= y the bound is the first argument itself, in meet(x, y)
+        # and in join(y, x); so is the bound of a forest with itself
+        rng = random.Random(31)
+        for base in self._sample_upsets():
+            g = forest_upset(base)
+            poset_analysis(g, check_lattice=False)
+            n = len(g.nodes)
+            for a in rng.sample(range(n), min(n, 20)):
+                x = view(g.nodes[a])
+                assert meet(x, x) is x and join(x, x) is x
+                assert meet(x, view(g.nodes[a])) is x
+                above = [b for b in range(n) if g.reach[a] >> b & 1]
+                for b in rng.sample(above, min(len(above), 20)):
+                    y = view(g.nodes[b])
+                    assert meet(x, y) is x
+                    assert join(y, x) is y
 
     def test_meet_join_equal_brute_force(self):
         rng = random.Random(4242)

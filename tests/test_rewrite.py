@@ -14,7 +14,6 @@ from mockingbird.rewrite import (
     is_hierarchical,
     load_system,
     local_confluence_probe,
-    step_successors,
     upset_confluence,
 )
 from mockingbird.terms import (Application, app, basic, parse_term, render_term,
@@ -27,6 +26,7 @@ from tests_util import (
     random_m_term,
     render_full,
     right_comb,
+    step_successors,
     successor_list,
     term_metrics,
 )

@@ -7,10 +7,11 @@ redex paths, the recursive fr, the fr-transport on whole keys, the
 combinators of a degree built as terms (decoded from their keys, and level
 by level), the whole-series operators on
 truncated series, the catalytic interval rule by recursion and by its
-literal binomial sum, and least upper and greatest lower bounds from
-explicit reachability.  Also the right combs, the forest
-metrics, and the brute-force in-degree, down-set size and meet-decomposition
-counts of a forest upset."""
+literal binomial sum, forest meet and join by the recursive rule with
+fresh tuples, and least upper and greatest lower bounds from explicit
+reachability.  Also the library's key step decoded to a set of terms, the
+right combs, the forest metrics, and the brute-force in-degree, down-set
+size and meet-decomposition counts of a forest upset."""
 
 from collections import deque
 from dataclasses import dataclass
@@ -19,8 +20,9 @@ from math import comb
 
 from mockingbird import sequences
 from mockingbird.bridge import IsoReport, erase_black, fr_key
-from mockingbird.forests import (BLACK, EMPTY, WHITE, DupForest, compact_key,
-                                 forest_upset, key_successors, meet)
+from mockingbird.forests import (BLACK, EMPTY, WHITE, DupForest, IncompatibleForests,
+                                 compact_key, forest_upset, key_successors, meet,
+                                 render_forest)
 from mockingbird.oracle import OracleError, combinator_keys
 from mockingbird.posets import ExplorationError, ExploredPoset, down_sets, poset_analysis
 from mockingbird.rewrite import ConfluenceReport, _KeyRules, key_redex_successors
@@ -289,6 +291,13 @@ def successor_list(system, t):
     for right2 in successor_list(system, t.right):
         out.append(app(t.left, right2))
     return out
+
+
+def step_successors(system, t):
+    """All one-step rewrites of t under context closure (self-loops kept),
+    by the library's step on prefix keys."""
+    rules = _KeyRules(system, t)
+    return {rules.decode(key) for key in rules.successors(rules.start)}
 
 
 def subterm_paths(t, path=()):
@@ -670,7 +679,7 @@ def interval_levels_literal(order, start):
 
 
 # ---------------------------------------------------------------------------
-# Bounds from explicit reachability
+# Bounds by the recursive rule and from explicit reachability
 
 
 def brute_lub(g, a, b):
@@ -701,6 +710,33 @@ def brute_glb(g, a, b):
         if all(g.reach[y] & bit for y in lower):
             return x
     return None
+
+
+def bound_reference(f1, f2, color):
+    """forests.meet (color WHITE) or join (color BLACK) by the recursive rule
+    that builds every result from fresh tuples: trees of one color bound
+    their children, and w(g) with b(g' g'') meet in w(g ∧ g' ∧ g'') and
+    join in b(g∨g' g∨g'') = b(g g ∨ g' g'')."""
+    if len(f1) != len(f2):
+        raise IncompatibleForests(
+            f"forest length mismatch: {render_forest(f1)!r} vs {render_forest(f2)!r}")
+    out = []
+    for (c1, g1), (c2, g2) in zip(f1, f2):
+        if c1 == c2:
+            out.append((c1, bound_reference(g1, g2, color)))
+            continue
+        if c1 == BLACK:
+            g1, g2 = g2, g1
+        if len(g2) % 2:
+            raise IncompatibleForests(
+                f"black node with odd child count: {render_forest(g2)!r}")
+        half = len(g2) // 2
+        if color == WHITE:
+            out.append((WHITE, bound_reference(bound_reference(g1, g2[:half], WHITE),
+                                               g2[half:], WHITE)))
+        else:
+            out.append((BLACK, bound_reference(g1 + g1, g2, BLACK)))
+    return tuple(out)
 
 
 def _bits(mask):
