@@ -187,8 +187,6 @@ def down_sets(g: ExploredPoset) -> list[int]:
     """Transpose of the reachability bitsets: down[j] has bit i iff i <= j.
 
     This is the reachability of the reversed step graph."""
-    if g.reach is None:
-        raise ExplorationError("run poset_analysis first")
     radj: list[list[int]] = [[] for _ in g.nodes]
     for i, succs in enumerate(g.succ):
         for j in succs:

@@ -17,8 +17,8 @@ from typing import Callable, Iterator, Mapping, NoReturn
 from .posets import (DEFAULT_BUDGET, ExplorationError, ExploredPoset, explore,
                      reachability)
 from .terms import (Term, TermError, Variable, basic, contains_basic, decode_term,
-                    encode_term, parse_term, subterm_end, subterm_ends,
-                    subterms_preorder, term_key, var, variable_indices)
+                    parse_term, subterm_end, subterm_ends, subterms_preorder,
+                    term_key, var, variable_indices)
 
 
 class SystemError_(TermError):
@@ -321,16 +321,3 @@ def key_extremal_flags(key: str) -> tuple[bool, bool]:
             return maximal, False
     return maximal, True
 
-
-def extremal_by_pattern(t: Term) -> dict[str, bool]:
-    """Maximality/minimality of an M-combinator by factor avoidance:
-    maximal avoids M(x1 x2) and minimal avoids (x1 x2)(x1 x2).  Read off
-    the prefix key (key_extremal_flags), so any depth answers."""
-    try:
-        key, leaves = encode_term(t)
-    except TermError as exc:  # a foreign combinator
-        raise SystemError_(str(exc)) from None
-    if len(leaves) > 1:
-        raise SystemError_("extremal_by_pattern expects a combinator (no variables)")
-    maximal, minimal = key_extremal_flags(key)
-    return {"maximal": maximal, "minimal": minimal}

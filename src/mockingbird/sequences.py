@@ -116,42 +116,30 @@ def _intervals_ladder(count: int) -> list[int]:
 
 
 def _motzkin_by_degree(count: int) -> list[int]:
-    out: list[int] = []
-    for d in range(count):
-        if d == 0:
-            out.append(1)
-            continue
+    out = [1, 1]
+    for d in range(2, count):
         conv = sum(out[i] * out[d - 1 - i] for i in range(d))
-        out.append((1 if d == 1 else 0) + conv - out[d - 1])
-    return out
+        out.append(conv - out[d - 1])
+    return out[:count]
 
 
 def _min_by_degree(count: int) -> list[int]:
-    out: list[int] = []
-    for d in range(count):
-        if d == 0:
-            out.append(1)
-            continue
+    out = [1, 1]
+    for d in range(2, count):
         conv = sum(out[i] * out[d - 1 - i] for i in range(d))
         squares = out[(d - 1) // 2] if (d - 1) % 2 == 0 else 0
-        out.append((1 if d == 1 else 0) + conv - squares)
-    return out
+        out.append(conv - squares)
+    return out[:count]
 
 
 def _classes_by_height(count: int) -> list[int]:
-    out: list[int] = []
+    out = [1, 1]
     running = 0  # sum of out[0..h-2] while computing out[h]
-    for h in range(count):
-        if h == 0:
-            out.append(1)
-            continue
-        if h == 1:
-            out.append(1)
-            continue
+    for h in range(2, count):
         prev = out[h - 1]
         running += out[h - 2]
         out.append(prev * prev - prev + 2 * prev * running)
-    return out
+    return out[:count]
 
 
 _LADDER_RECURRENCES = {
@@ -232,10 +220,8 @@ def seq_by_series(name: str, count: int,
     ladder_count = _ladder_count(name, count, indexing, "series")
     values: list[int] = []
     if ladder_count:
-        solution = serieslib.solve_equation(name, ladder_count - 1)
-        if name == "intervals":
-            solution = solution[0]
-        values = list(solution.coefficients)
+        values = list(
+            serieslib.solve_equation(name, ladder_count - 1).coefficients)
     return _table(name, values, indexing, "series")
 
 

@@ -1,23 +1,25 @@
-"""Truncated power series over exact integers, and the fixpoints of the
+"""Truncated power series over exact integers, and the solutions of the
 six counting equations.
 
-Every equation has the shape F = Phi(F) where each nonconstant term of Phi
-carries a factor z, so Phi is a contraction in the z-adic metric: coefficient
-r of Phi(F) depends only on the coefficients of F below r.  Phi is built
-from lazy series, each of which computes its coefficient r on demand and
-reads only the coefficients of its operands that r needs; F is the lazy
-series whose coefficient r is that of Phi(F), kept once computed.  Solvers
-read F's coefficients 0..N in order, so each is computed once, from
-coefficients already known: the lazy scheme of van der Hoeven, "Relax,
-but don't be too lazy" (2002), with the naive product.
+Five equations have the shape F = Phi(F), one entry ``name: Phi`` each in
+the table ``_EQUATIONS``, where each nonconstant term of Phi carries a
+factor z, so Phi is a contraction in the z-adic metric: coefficient r of
+Phi(F) depends only on the coefficients of F below r.  Phi is built from
+lazy series, each of which computes its coefficient r on demand and reads
+only the coefficients of its operands that r needs.  One ``_fixpoint``
+makes F the lazy series whose coefficient r is that of Phi(F), kept once
+computed, and ``solve_equation`` reads F's coefficients 0..N in order, so
+each is computed once, from coefficients already known: the lazy scheme of
+van der Hoeven, "Relax, but don't be too lazy" (2002), with the naive
+product.  The edges Phi reads the sizes fixpoint G the same way, as zG.
 
-The catalytic interval family is one level loop, ``interval_levels``, run
-from two sets of start rows: the recurrence of ``sequences`` gives levels 0
-and 1 in closed form, and the series solver gives levels d <= 4 as moments
-of the exact upset-size distributions of the ladder upsets.  The loop's
-binomial sum, sum over i of C(k,i) a_{k+i}, is coefficient 0 of T^k a for
-(T a)_j = a_{j+1} + a_{j+2}, because T^k = E^k (1+E)^k for the shift E: it
-takes additions only.
+The sixth, the catalytic interval family, is one level loop,
+``interval_levels``, run from two sets of start rows: the recurrence of
+``sequences`` gives levels 0 and 1 in closed form, and the series solver
+gives levels d <= 4 as moments of the exact upset-size distributions of
+the ladder upsets.  The loop's binomial sum, sum over i of C(k,i)
+a_{k+i}, is coefficient 0 of T^k a for (T a)_j = a_{j+1} + a_{j+2},
+because T^k = E^k (1+E)^k for the shift E: it takes additions only.
 """
 
 from __future__ import annotations
@@ -150,45 +152,33 @@ def polynomial(*coefficients: int) -> LazySeries:
 # conventional indexing.
 
 
-def _fixpoint(phi: Callable[[LazySeries], LazySeries], order: int) -> TruncSeries:
-    """Coefficients 0..order of the F with F = Phi(F)."""
+def _fixpoint(phi: Callable[[LazySeries], LazySeries]) -> _Kept:
+    """The F with F = Phi(F), keeping its coefficients."""
     f = _Kept(lambda r: equation[r])
     equation = phi(f)
-    return f.truncate(order)
+    return f
 
 
-def _solve_sizes(order: int) -> TruncSeries:
-    return _fixpoint(
-        lambda f: polynomial(1) + f.shift() + f.hadamard(f).shift(), order)
+def _sizes(f: LazySeries) -> LazySeries:
+    return polynomial(1) + f.shift() + f.hadamard(f).shift()
 
 
-def _solve_edges(order: int) -> TruncSeries:
-    # every sizes term carries a factor z, so only its coefficients below
-    # `order` are read
-    zg = polynomial(*_solve_sizes(max(order - 1, 0)).coefficients).shift()
-
-    def phi(f: LazySeries) -> LazySeries:
-        zf = f.shift()
-        return zf + zg + zf.hadamard(zg).scale(2)
-
-    return _fixpoint(phi, order)
+def _edges(f: LazySeries) -> LazySeries:
+    # zG, for G the sizes solution, is read as lazily as F
+    zf, zg = f.shift(), _fixpoint(_sizes).shift()
+    return zf + zg + zf.hadamard(zg).scale(2)
 
 
-def _solve_motzkin(order: int) -> TruncSeries:
-    return _fixpoint(
-        lambda f: polynomial(1, 1) + (f * f).shift() - f.shift(), order)
-
-
-def _solve_min(order: int) -> TruncSeries:
-    return _fixpoint(
-        lambda f: polynomial(1, 1) + (f * f).shift()
-        - f.substitute_z2().shift(), order)
-
-
-def _solve_classes(order: int) -> TruncSeries:
-    return _fixpoint(
-        lambda f: polynomial(1, 1) + f.max_product(f).shift() - f.shift(),
-        order)
+# Phi of each equation F = Phi(F) but the catalytic interval family.
+_EQUATIONS = {
+    "sizes": _sizes,
+    "edges": _edges,
+    "motzkin": lambda f: polynomial(1, 1) + (f * f).shift() - f.shift(),
+    "min": lambda f: polynomial(1, 1) + (f * f).shift()
+    - f.substitute_z2().shift(),
+    "classes": lambda f: polynomial(1, 1) + f.max_product(f).shift()
+    - f.shift(),
+}
 
 
 # Levels of the interval family filled from upset-size moments.  The
@@ -258,25 +248,13 @@ def solve_interval_family(order: int) -> dict[int, TruncSeries]:
     return {k: TruncSeries(column) for k, column in enumerate(zip(*padded), 1)}
 
 
-def solve_equation(name: str, order: int):
-    """Solve one of the named equations to the given truncation order.
-
-    Returns a TruncSeries, except for ``intervals`` which returns the pair
-    (F_1, family table keyed by k).
-    """
+def solve_equation(name: str, order: int) -> TruncSeries:
+    """Coefficients 0..order of the solution of the named equation: for
+    ``intervals``, of F_1 of ``solve_interval_family``."""
     if order < 0:
         raise SeriesError("order must be >= 0")
-    if name == "sizes":
-        return _solve_sizes(order)
-    if name == "edges":
-        return _solve_edges(order)
-    if name == "motzkin":
-        return _solve_motzkin(order)
-    if name == "min":
-        return _solve_min(order)
-    if name == "classes":
-        return _solve_classes(order)
     if name == "intervals":
-        family = solve_interval_family(order)
-        return family[1], family
-    raise SeriesError(f"unknown equation {name!r}")
+        return solve_interval_family(order)[1]
+    if name not in _EQUATIONS:
+        raise SeriesError(f"unknown equation {name!r}")
+    return _fixpoint(_EQUATIONS[name]).truncate(order)

@@ -10,14 +10,14 @@ from mockingbird.rewrite import (
     SystemError_,
     _KeyRules,
     explore_component,
-    extremal_by_pattern,
     is_hierarchical,
+    key_extremal_flags,
     load_system,
     local_confluence_probe,
     upset_confluence,
 )
-from mockingbird.terms import (Application, app, basic, parse_term, render_term,
-                               subterms_preorder, term_key, var)
+from mockingbird.terms import (Application, app, basic, encode_term, parse_term,
+                               render_term, subterms_preorder, term_key, var)
 from tests_util import (
     all_combinators,
     explore_reference,
@@ -360,52 +360,43 @@ class TestConfluence:
         assert report.joinable_pairs == 0 and not report.failures
 
 
+def extremal_flags(t):
+    """(maximal, minimal) of an M-combinator, read off its prefix key."""
+    return key_extremal_flags(encode_term(t)[0])
+
+
 class TestExtremal:
     def test_examples(self):
-        assert extremal_by_pattern(TM("((MM)M)M")) == {
-            "maximal": True, "minimal": True}
+        assert extremal_flags(TM("((MM)M)M")) == (True, True)
         # no M(x1 x2), and the two sides MM and M differ
-        assert extremal_by_pattern(TM("(MM)M")) == {
-            "maximal": True, "minimal": True}
-        assert extremal_by_pattern(TM("M(MM)")) == {
-            "maximal": False, "minimal": True}
-        assert extremal_by_pattern(TM("(MM)(MM)")) == {
-            "maximal": True, "minimal": False}
-
-    def test_variables_rejected(self):
-        with pytest.raises(SystemError_):
-            extremal_by_pattern(parse_term("Mx1", {"M"}))
-
-    def test_foreign_combinator_rejected(self):
-        with pytest.raises(SystemError_):
-            extremal_by_pattern(parse_term("K", {"K"}))
+        assert extremal_flags(TM("(MM)M")) == (True, True)
+        assert extremal_flags(TM("M(MM)")) == (False, True)
+        assert extremal_flags(TM("(MM)(MM)")) == (True, False)
 
     def test_deep_combs(self):
         # no recursion over the term: both answer at any depth
         left_comb = TM("M")
         for _ in range(3000):
             left_comb = app(left_comb, TM("M"))
-        assert extremal_by_pattern(right_comb(3000)) == {
-            "maximal": False, "minimal": True}
-        assert extremal_by_pattern(left_comb) == {
-            "maximal": True, "minimal": True}
+        assert extremal_flags(right_comb(3000)) == (False, True)
+        assert extremal_flags(left_comb) == (True, True)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(9, 16), st.integers(0, 2**32))
     def test_agrees_with_graph_characterization_random(self, degree, seed):
         t = random_m_term(random.Random(seed), degree)
-        flags = extremal_by_pattern(t)
-        assert flags["maximal"] == (step_successors(SYS_M, t) <= {t})
-        assert flags["minimal"] == (predecessor_set(SYS_M, t) <= {t})
+        maximal, minimal = extremal_flags(t)
+        assert maximal == (step_successors(SYS_M, t) <= {t})
+        assert minimal == (predecessor_set(SYS_M, t) <= {t})
 
     def test_agrees_with_graph_characterization_degree_le_8(self):
         for degree in range(9):
             for t in all_combinators(degree):
-                flags = extremal_by_pattern(t)
+                maximal, minimal = extremal_flags(t)
                 succ_max = step_successors(SYS_M, t) <= {t}
                 pred_min = predecessor_set(SYS_M, t) <= {t}
-                assert flags["maximal"] == succ_max, render_term(t)
-                assert flags["minimal"] == pred_min, render_term(t)
+                assert maximal == succ_max, render_term(t)
+                assert minimal == pred_min, render_term(t)
 
 
 # Systems for the comparison with the Term step of tests_util: the builtins,

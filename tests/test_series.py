@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mockingbird.sequences import GOLDEN_PREFIXES
+from mockingbird.sequences import GOLDEN_PREFIXES, SEQUENCE_NAMES
 from mockingbird.series import (
     SeriesError,
+    TruncSeries,
     interval_levels,
     polynomial,
     solve_equation,
@@ -161,10 +162,17 @@ class TestSolve:
             (0, 1, 7, 97, 8287, 29942737)
 
     def test_intervals_returns_family(self):
-        f1, family = solve_equation("intervals", 3)
-        assert f1.coefficients == (1, 3, 17, 371)
+        assert solve_equation("intervals", 3).coefficients == (1, 3, 17, 371)
+        family = solve_interval_family(3)
         assert family[2][0] == 1
         assert family[2][1] == 5  # a_2(1)
+
+    @pytest.mark.parametrize("name", SEQUENCE_NAMES)
+    def test_every_equation_returns_a_series(self, name):
+        for order in range(4):
+            solution = solve_equation(name, order)
+            assert isinstance(solution, TruncSeries)
+            assert len(solution.coefficients) == order + 1
 
     def test_unknown_name(self):
         with pytest.raises(SeriesError):
