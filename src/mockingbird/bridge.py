@@ -21,7 +21,7 @@ from itertools import product
 from math import isqrt
 from typing import Optional
 
-from .forests import BLACK, WHITE, DupForest, key_successors, parse_forest
+from .forests import DupForest, key_successors, parse_forest
 from .posets import DEFAULT_BUDGET, ExplorationError
 from .rewrite import key_redex_successors
 from .terms import Term, decode_term, encode_term, render_term, subterm_end
@@ -76,25 +76,6 @@ def fr_key(key: str) -> str:
     return stack[0] or ""
 
 
-def erase_black(key: str) -> str:
-    """Compact forest key with every black node spliced out: its children
-    take its place among its siblings, and a white node left without
-    children renders as a plain w."""
-    out: list[str] = []
-    black_parens: list[bool] = []
-    for i, c in enumerate(key):
-        if c == "(":
-            black_parens.append(key[i - 1] == BLACK)
-            if not black_parens[-1]:
-                out.append(c)
-        elif c == ")":
-            if not black_parens.pop():
-                out.append(c)
-        elif c == WHITE:
-            out.append(c)
-    return "".join(out).replace("()", "")
-
-
 def _transport(side: str, cap: int) -> tuple[dict[str, str], str, str]:
     """fr transported over the upset of the term with prefix key side: the
     forest key of each element reached, then the first breakdown and the
@@ -127,16 +108,25 @@ def _transport(side: str, cap: int) -> tuple[dict[str, str], str, str]:
     return assignment, "", ""
 
 
-def _fr_injective(images_a: list[str], images_b: list[str], wrapped: bool) -> bool:
-    """Whether literal fr is injective on the upset whose sides have these
-    erase_black images: ea eb for the pairs of sides, and, when wrapped
-    (images_a is then images_b), w(eb) for each M b'.  Stops at the first
-    repeated image."""
-    if len(set(images_a)) < len(images_a) or len(set(images_b)) < len(images_b):
-        return False
-    images = {f"w({eb})" if eb else "w" for eb in images_b} if wrapped else set()
-    for ea, eb in product(images_a, images_b):
-        image = ea + eb
+def _fr_injective(side_a: dict[str, str], side_b: dict[str, str], wrapped: bool) -> bool:
+    """Whether literal fr is injective on the upset with these sides (term
+    key to transported forest key): fa fb for the pairs of sides, and, when
+    wrapped (side_a is then side_b), w(fb) for each M b'.  Each distinct
+    side's images are read by fr_key off its term keys, one side at a time,
+    and the check stops at the first repeated image."""
+    sides = []
+    for side in [side_a] if side_b is side_a else [side_a, side_b]:
+        seen: set[str] = set()
+        for key in side:
+            image = fr_key(key)
+            if image in seen:
+                return False
+            seen.add(image)
+        sides.append(seen)
+    images_a, images_b = sides[0], sides[-1]
+    images = {f"w({fb})" if fb else "w" for fb in images_b} if wrapped else set()
+    for fa, fb in product(images_a, images_b):
+        image = fa + fb
         if image in images:
             return False
         images.add(image)
@@ -173,10 +163,9 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     largest side count the budget admits.  A side too large to step
     raises ExplorationError too (rewrite.MAX_STEP_SIZE).
 
-    Literal fr of an upset element is its transported forest with the
-    black nodes erased (erase_black), and the erasure of a concatenation
-    is the concatenation of the erasures, so fr_injective_on_upset is read
-    off the erased forests of the sides.
+    fr of a pair of sides is the concatenation of the sides' fr (the
+    left-application rule of fr_key), and fr of M b' is w(fr b'), so
+    fr_injective_on_upset is read off the sides' term keys.
 
     If the transport breaks down on a side s, the verdict is
     ``inconclusive(<detail>)``, naming the term s b or a s: a failed
@@ -202,9 +191,7 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
         culprit = "." + a0 + culprit
     n_b = len(side_b)
     count = n_b + n_b * n_b if wrapped else len(side_a) * n_b
-    images_b = [erase_black(key) for key in side_b.values()]
-    images_a = images_b if wrapped else [erase_black(key) for key in side_a.values()]
-    injective = not failure and _fr_injective(images_a, images_b, wrapped)
+    injective = not failure and _fr_injective(side_b if wrapped else side_a, side_b, wrapped)
     detail = f"{failure} at {render_term(decode_term(culprit, leaves))}" if failure else ""
     return IsoReport(
         term=t, term_count=count, forest_count=count,

@@ -107,7 +107,7 @@ def interval_family(k: int, d: int) -> int:
 
 def interval_memo_keys() -> frozenset:
     """Empty: no interval table outlives a call.  Only perfbench's traced
-    passes call it; it goes with their memo_entries metric (ROADMAP item 4)."""
+    passes call it; it goes with their memo_entries metric (ROADMAP item 1)."""
     return frozenset()
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from mockingbird import bridge, terms
 from mockingbird.bridge import (
-    erase_black,
     fr_key,
     fr_map,
     verify_fr_isomorphism,
@@ -23,8 +22,8 @@ from mockingbird.forests import (
 from mockingbird.posets import ExplorationError
 from mockingbird.rewrite import explore_component, key_redex_successors, load_system
 from mockingbird.terms import TermError, decode_term, encode_term, parse_term, subterm_end
-from tests_util import (all_combinators, fire_redex, fr_map_recursive, is_white_only,
-                        progressing_redexes, right_comb, step_successors)
+from tests_util import (all_combinators, erase_black, fire_redex, fr_map_recursive,
+                        is_white_only, progressing_redexes, right_comb, step_successors)
 
 SYS_M = load_system("builtin:M")
 
@@ -374,6 +373,41 @@ class TestIsomorphism:
             checked += 1
             verdicts.add(flat.fr_injective_on_upset)
         assert checked > 300 and verdicts == {True, False}
+
+    @pytest.mark.parametrize("text, injective", [
+        ("MM", True),  # one side, one image
+        ("M(MM)", True),  # wrapped: w and the pair images differ
+        ("M(MM)(M(MM))", False),  # the pair images w + "" and "" + w repeat
+        ("M(M(MM))", False),  # the wrapped image w(fb) of fb = "" is w + ""
+        ("M(M(MM))M", False),  # side a repeats an image
+        ("M(M(M(MM)))", False),  # side b repeats an image
+    ])
+    def test_injectivity_exits(self, text, injective):
+        # each exit of the injectivity check, against the transport on
+        # whole keys, which erases the black nodes of every forest instead
+        from tests_util import fr_transport_flat
+
+        t = TM(text)
+        rep = verify_fr_isomorphism(t)
+        assert rep == fr_transport_flat(t, 2_000)
+        assert rep.fr_injective_on_upset is injective
+        assert rep.isomorphic
+
+    def test_injectivity_stops_at_first_repeat(self, monkeypatch):
+        # each side of up(r6) has 1,806 elements, and fr repeats an image
+        # long before the last of them; the two walks call fr_key once each
+        # for their start, so the check itself read more than none
+        calls = []
+
+        def count(key):
+            calls.append(key)
+            return fr_key(key)
+
+        monkeypatch.setattr(bridge, "fr_key", count)
+        rep = verify_fr_isomorphism(right_comb(6))
+        assert rep.term_count == 3_263_442
+        assert not rep.fr_injective_on_upset
+        assert 2 < len(calls) <= 25
 
     def test_r6_counts_by_product(self):
         # acceptance 5b's largest upset: 1,806 + 1,806**2 elements, counted

@@ -3,9 +3,9 @@ the library's code is compared against: the recursive term parser, the
 rewrite step on Term objects with its substitution, pattern matching and
 full rendering, the two-pass breadth-first closure, the confluence probe
 by pairwise upset walks, the forest step on nested tuples, the M step by
-redex paths, the recursive fr, the fr-transport on whole keys, the
-combinators of a degree built as terms (decoded from their keys, and level
-by level), the whole-series operators on
+redex paths, the recursive fr, black erasure and the fr-transport on
+whole keys, the combinators of a degree built as terms (decoded from
+their keys, and level by level), the whole-series operators on
 truncated series, the catalytic interval rule by recursion and by its
 literal binomial sum, forest meet and join by the recursive rule with
 fresh tuples, and least upper and greatest lower bounds from explicit
@@ -19,7 +19,7 @@ from itertools import accumulate, product
 from math import comb
 
 from mockingbird import sequences
-from mockingbird.bridge import IsoReport, erase_black, fr_key
+from mockingbird.bridge import IsoReport, fr_key
 from mockingbird.forests import (BLACK, EMPTY, WHITE, DupForest, IncompatibleForests,
                                  compact_key, forest_upset, key_successors, meet,
                                  render_forest)
@@ -451,11 +451,32 @@ def fr_map_recursive(t):
     return EMPTY  # M M
 
 
+def erase_black(key: str) -> str:
+    """Compact forest key with every black node spliced out: its children
+    take its place among its siblings, and a white node left without
+    children renders as a plain w."""
+    out: list[str] = []
+    black_parens: list[bool] = []
+    for i, c in enumerate(key):
+        if c == "(":
+            black_parens.append(key[i - 1] == BLACK)
+            if not black_parens[-1]:
+                out.append(c)
+        elif c == ")":
+            if not black_parens.pop():
+                out.append(c)
+        elif c == WHITE:
+            out.append(c)
+    return "".join(out).replace("()", "")
+
+
 def fr_transport_flat(t, budget):
     """verify_fr_isomorphism on whole keys: each upset element is its prefix
     key, stepped by key_redex_successors, and its transported forest is its
     compact key, stepped by key_successors.  The reference for the
-    transport by sides; it raises ExplorationError where that does."""
+    transport by sides; it raises ExplorationError where that does.  It
+    reads literal fr as each transported forest with its black nodes
+    erased, where the library reads it off the term keys by fr_key."""
     start, leaves = encode_term(t)
     if start[0] != ".":
         return IsoReport(t, term_count=1, forest_count=1, fr_injective_on_upset=True,
