@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
+from operator import mul
 from typing import Optional
 
 from . import series as serieslib
@@ -115,20 +116,25 @@ def _intervals_ladder(count: int) -> list[int]:
     return [row[0] for row in _interval_rows(max(count - 1, 0))][:count]
 
 
+def _square_coefficient(out: list[int], m: int) -> int:
+    """Coefficient m of the square of sum out[i] z^i, from out[0..m]: each
+    pair i < m - i read once and doubled, plus the middle square."""
+    middle = out[m // 2] ** 2 if m % 2 == 0 else 0
+    return 2 * sum(map(mul, out[:(m + 1) // 2], out[m:m // 2:-1])) + middle
+
+
 def _motzkin_by_degree(count: int) -> list[int]:
     out = [1, 1]
     for d in range(2, count):
-        conv = sum(out[i] * out[d - 1 - i] for i in range(d))
-        out.append(conv - out[d - 1])
+        out.append(_square_coefficient(out, d - 1) - out[d - 1])
     return out[:count]
 
 
 def _min_by_degree(count: int) -> list[int]:
     out = [1, 1]
     for d in range(2, count):
-        conv = sum(out[i] * out[d - 1 - i] for i in range(d))
         squares = out[(d - 1) // 2] if (d - 1) % 2 == 0 else 0
-        out.append(conv - squares)
+        out.append(_square_coefficient(out, d - 1) - squares)
     return out[:count]
 
 
@@ -138,7 +144,7 @@ def _classes_by_height(count: int) -> list[int]:
     for h in range(2, count):
         prev = out[h - 1]
         running += out[h - 2]
-        out.append(prev * prev - prev + 2 * prev * running)
+        out.append(prev * (prev - 1 + 2 * running))
     return out[:count]
 
 
@@ -154,12 +160,12 @@ _LADDER_RECURRENCES = {
 
 # Largest ladder count of each sequence that each method computes.  It is
 # keyed on the ladder count, so the conventional and the ladder indexing of
-# a sequence share one limit.  Measured on one 2-CPU host (Python 3.11): at
-# these limits no recurrence or series request takes over 3 s, except
-# motzkin and min by either method, capped at the largest count measured
-# under 10 s; a slower 2-CPU host took 2-2.5 times as long.  One index more
-# at least doubles the work of sizes, edges, intervals and classes.  The
-# oracle limits are the oracle's own.
+# a sequence share one limit.  Medians of 3 on one 2-CPU host (Python
+# 3.11.7): at these limits no recurrence or series request takes over 3 s,
+# except motzkin and min by recurrence, 5.3 and 8.3 s.  Another 2-CPU host
+# ran the motzkin and min recurrences 1.4-1.7 times as long as this one.
+# One index more at least doubles the work of sizes, edges, intervals and
+# classes.  The oracle limits are the oracle's own.
 LADDER_COUNT_LIMITS = {
     "recurrence": {"sizes": 25, "edges": 25, "intervals": 13,
                    "motzkin": 3200, "min": 3000, "classes": 25},

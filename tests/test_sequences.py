@@ -15,7 +15,13 @@ from mockingbird.sequences import (
     seq_by_recurrence,
     seq_by_series,
 )
-from tests_util import forbid_sequence_solvers, interval_family_recursive
+from tests_util import (
+    classes_by_height_full,
+    forbid_sequence_solvers,
+    interval_family_recursive,
+    min_by_degree_full,
+    motzkin_by_degree_full,
+)
 
 
 def record_interval_tables(monkeypatch):
@@ -55,6 +61,12 @@ class TestRecurrence:
     def test_count_validation(self):
         with pytest.raises(SequenceError):
             seq_by_recurrence("sizes", 0)
+
+    def test_squaring_recurrences_equal_the_full_products(self):
+        for name, count, reference in (("motzkin", 400, motzkin_by_degree_full),
+                                       ("min", 400, min_by_degree_full),
+                                       ("classes", 22, classes_by_height_full)):
+            assert seq_by_recurrence(name, count).values == reference(count), name
 
     def test_monotone_guards(self):
         sizes = seq_by_recurrence("sizes", 12).values

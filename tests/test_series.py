@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mockingbird.sequences import GOLDEN_PREFIXES, SEQUENCE_NAMES
 from mockingbird.series import (
+    LazySeries,
     SeriesError,
     TruncSeries,
     interval_levels,
@@ -100,6 +101,7 @@ class TestSubstituteZ2:
 def _lazy_and_whole(a, b, c):
     """Pairs of a lazy series and the whole series it must equal."""
     la, lb = polynomial(*a.coefficients), polynomial(*b.coefficients)
+    s = la + lb  # keeps no coefficients, so s * s wraps it once to square
     return [
         (la, a),
         (la + lb, a + b),
@@ -108,9 +110,11 @@ def _lazy_and_whole(a, b, c):
         (la.shift(), a.shift()),
         (la * lb, a * b),
         (la * la, a * a),
+        (s * s, (a + b) * (a + b)),
         (la.hadamard(lb), hadamard(a, b)),
         (la.max_product(lb), max_product(a, b)),
         (la.max_product(la), max_product(a, a)),
+        (s.max_product(s), max_product(a + b, a + b)),
         (la.substitute_z2(), substitute_z2(a)),
         # products of series that keep no coefficients of their own
         (((la + lb) * lb.shift()).max_product(la.substitute_z2() - lb),
@@ -138,6 +142,14 @@ class TestLazy:
         for lazy, whole in _lazy_and_whole(a, b, c):
             top_down = [lazy[r] for r in range(a.order, -1, -1)]
             assert top_down[::-1] == list(whole.coefficients)
+
+    def test_square_reads_each_coefficient_once(self):
+        reads = []
+        s = LazySeries(lambda r: reads.append(r) or r + 1)
+        for square in (s * s, s.max_product(s)):
+            reads.clear()
+            square.truncate(6)
+            assert reads == list(range(7))
 
 
 class TestSolve:

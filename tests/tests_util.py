@@ -7,7 +7,8 @@ redex paths, the recursive fr, black erasure and the fr-transport on
 whole keys, the combinators of a degree built as terms (decoded from
 their keys, and level by level), the whole-series operators on
 truncated series, the catalytic interval rule by recursion and by its
-literal binomial sum, forest meet and join by the recursive rule with
+literal binomial sum, the census and class recurrences with every product
+formed, forest meet and join by the recursive rule with
 fresh tuples, and least upper and greatest lower bounds from explicit
 reachability.  Also the library's key step decoded to a set of terms, the
 right combs, the forest metrics, and the brute-force in-degree, down-set
@@ -697,6 +698,43 @@ def interval_levels_literal(order, start):
                                    for i in range(k + 1))
             for k in range(1, (1 << (order - d)) + 1)])
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The census and class recurrences with every product formed
+
+
+def motzkin_by_degree_full(count):
+    """Maximal combinators by degree, each convolution summed over every
+    ordered pair: the reference for the squaring recurrence."""
+    out = [1, 1]
+    for d in range(2, count):
+        conv = sum(out[i] * out[d - 1 - i] for i in range(d))
+        out.append(conv - out[d - 1])
+    return out[:count]
+
+
+def min_by_degree_full(count):
+    """Minimal combinators by degree, each convolution summed over every
+    ordered pair: the reference for the squaring recurrence."""
+    out = [1, 1]
+    for d in range(2, count):
+        conv = sum(out[i] * out[d - 1 - i] for i in range(d))
+        squares = out[(d - 1) // 2] if (d - 1) % 2 == 0 else 0
+        out.append(conv - squares)
+    return out[:count]
+
+
+def classes_by_height_full(count):
+    """Classes by height, from the expanded rule prev^2 - prev + 2 prev
+    running: the reference for the one-product recurrence."""
+    out = [1, 1]
+    running = 0  # sum of out[0..h-2] while computing out[h]
+    for h in range(2, count):
+        prev = out[h - 1]
+        running += out[h - 2]
+        out.append(prev * prev - prev + 2 * prev * running)
+    return out[:count]
 
 
 # ---------------------------------------------------------------------------
