@@ -2,8 +2,10 @@
 
 Modules:
     terms      binary application terms: parsing and printing, prefix keys
+    mterms     terms over {M} as prefix keys: encoding, root split, step,
+               extremal flags
     rewrite    combinatory logic systems, one-step rewriting on prefix keys,
-               component exploration, hierarchy/confluence/extremal analysis
+               component exploration, hierarchy/confluence analysis
     posets     explored digraphs and order analysis (Hasse, lattice checks)
     forests    duplicative forests, the duplication step, meet/join
     bridge     the term-to-forest translation fr and isomorphism verification

@@ -1,16 +1,15 @@
 """Translation from Mockingbird terms to duplicative forests and
 verification that the term upset and the forest upset are isomorphic posets.
 
-Terms are handled as prefix keys (terms.encode_term) and forests as compact
-keys, and both are stepped by string surgery (rewrite.key_redex_successors,
+Terms are handled as prefix keys (mterms.encode_term) and forests as compact
+keys, and both are stepped by string surgery (mterms.key_redex_successors,
 forests.key_successors).  The verification transports fr along rewrite
-steps over the upset of each side of the start, not over the whole upset:
-for a start a b with a not M, the upset is the product of the upsets of a
-and b, and its forests are fa fb; for M b with b not M, it is the elements
-M b', whose forests are w(fb'), together with the product of up(b) with
-itself, whose forests are b(fb fb').  Steps and white nodes split side by
-side in the same order, so the transport holds on the product exactly when
-it holds on each side, and the counts are products of the side counts.
+steps over the upset of each side of the start, not over the whole upset,
+which splits into products of the sides' upsets (mterms.split).  Its
+forests split with it: fa fb for a pair, w(fb') for M b', b(fb fb') for
+a pair of up(b) with itself.  Steps and white nodes split side by side in
+the same order, so the transport holds on the product exactly when it
+holds on each side, and the counts are products of the side counts.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ from math import isqrt
 from typing import Optional
 
 from .forests import DupForest, key_successors, parse_forest
+from .mterms import encode_term, key_redex_successors, split
 from .posets import DEFAULT_BUDGET, ExplorationError
-from .rewrite import key_redex_successors
-from .terms import Term, decode_term, encode_term, render_term, subterm_end
+from .terms import Term, decode_term, render_term
 
 
 def fr_map(t: Term) -> DupForest:
@@ -161,7 +160,7 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     a is M and b is not (the elements M b' and the pairs of up(b)); more
     than budget raises ExplorationError, and each side walk stops at the
     largest side count the budget admits.  A side too large to step
-    raises ExplorationError too (rewrite.MAX_STEP_SIZE).
+    raises ExplorationError too (posets.MAX_STEP_SIZE).
 
     fr of a pair of sides is the concatenation of the sides' fr (the
     left-application rule of fr_key), and fr of M b' is w(fr b'), so
@@ -177,8 +176,7 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
         return IsoReport(t, term_count=1, forest_count=1, fr_injective_on_upset=True,
                          cover_preserving=True, method="fr-transport", verdict="isomorphic")
     budget = max(budget, 1)  # the start is held whatever the budget
-    end = subterm_end(start, 1)
-    a0, b0 = start[1:end], start[end:]
+    a0, b0 = split(start)
     wrapped = a0 == "M" != b0
     side_a, failure, culprit = _transport(a0, budget)
     if failure:  # b0 alone is reached on its side

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .forests import compact_key, key_successors, ladder
+from .mterms import key_extremal_flags
 from .posets import explore, poset_analysis
-from .rewrite import key_extremal_flags
 
 
 class OracleError(ValueError):
@@ -86,7 +86,7 @@ def _ladder_stream_counts(d: int) -> tuple[int, int]:
 # Extremal census over all combinators of a degree
 
 def combinator_keys(degree: int) -> list[str]:
-    """Prefix keys (terms.encode_term) of all binary application trees
+    """Prefix keys (mterms.encode_term) of all binary application trees
     with the given number of applications over the single leaf M (Catalan
     many), by the degree of the left subtree, then left, then right."""
     if degree < 0:

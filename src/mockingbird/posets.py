@@ -22,13 +22,26 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Optional
+from typing import Any, Callable, Hashable, Iterable, NoReturn, Optional
 
 DEFAULT_BUDGET = 10_000_000
+
+# A rewrite step builds about one copy of the key per redex.  Past this
+# bound on redexes x key length a walk ends in neither useful time nor
+# memory, as from a 3,000-deep M(M(...)): 30 ms a step, and the keys keep
+# growing.  The largest step in the upset of the right comb M(M(M(M(MM))))
+# is 1,008.  Both steps, rewrite's _KeyRules.successors and
+# mterms.key_redex_successors, compare inline and call refuse_step.
+MAX_STEP_SIZE = 1 << 22
 
 
 class ExplorationError(ValueError):
     pass
+
+
+def refuse_step(redexes: int, key: str) -> NoReturn:
+    raise ExplorationError(f"term too large to step: {redexes} redexes "
+                           f"x {len(key)} symbols > {MAX_STEP_SIZE}")
 
 
 class IncompleteExplorationError(ExplorationError):

@@ -5,19 +5,20 @@ keys (terms.term_key), with no recursion over the term; each term
 handed back is decoded once.  Keys sort as fully parenthesized terms, so
 node order is the same in every process.  The confluence probe reads every
 pair's join off one exploration of the upset, which ``check`` shares.
-The M step that the fr-transport runs refuses by the same MAX_STEP_SIZE.
+The step over {M} that the fr-transport runs is in mterms; both steps
+refuse by posets.MAX_STEP_SIZE.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, NoReturn
+from typing import Callable, Iterator, Mapping
 
-from .posets import (DEFAULT_BUDGET, ExplorationError, ExploredPoset, explore,
-                     reachability)
+from .posets import (DEFAULT_BUDGET, MAX_STEP_SIZE, ExploredPoset, explore,
+                     reachability, refuse_step)
 from .terms import (Term, TermError, Variable, basic, contains_basic, decode_term,
-                    parse_term, subterm_end, subterm_ends, subterms_preorder,
+                    parse_term, subterm_ends, subterms_preorder,
                     term_key, var, variable_indices)
 
 
@@ -106,19 +107,6 @@ def load_system(text: str) -> CLSystem:
 # ---------------------------------------------------------------------------
 # The rewrite step on prefix keys (terms.term_key)
 
-# A rewrite step builds about one copy of the key per redex.  Past this
-# bound on redexes x key length a walk ends in neither useful time nor
-# memory, as from a 3,000-deep M(M(...)): 30 ms a step, and the keys keep
-# growing.  The largest step in the upset of the right comb M(M(M(M(MM))))
-# is 1,008.  Both steps below compare inline and refuse a larger one.
-MAX_STEP_SIZE = 1 << 22
-
-
-def _refuse_step(redexes: int, key: str) -> NoReturn:
-    raise ExplorationError(f"term too large to step: {redexes} redexes "
-                           f"x {len(key)} symbols > {MAX_STEP_SIZE}")
-
-
 _FIRST_TOKEN = ord("A")  # the token of the leaf whose name sorts first
 
 
@@ -161,7 +149,7 @@ class _KeyRules:
         kept)."""
         matches = list(self.redex.finditer(key))
         if len(matches) * len(key) > MAX_STEP_SIZE:
-            _refuse_step(len(matches), key)
+            refuse_step(len(matches), key)
         out = []
         end = subterm_ends(key)
         for match in matches:
@@ -172,30 +160,6 @@ class _KeyRules:
                 pos = end[pos]
             out.append(f"{key[:match.start()]}{rhs.format(*args)}{key[pos:]}")
         return out
-
-
-def key_redex_successors(key: str) -> list[str]:
-    """Prefix keys (terms.encode_term) of the terms over {M} one progressing
-    redex away: every ".M<s>" with s != M becomes ".<s><s>" (M M only
-    rewrites to itself).  They are listed by the position of the redex,
-    which is the pre-order of the white nodes that bridge.fr_key makes for
-    them, and distinct redexes give distinct terms.  A key whose redexes
-    (M M counted, as the rewrite step counts it) times its length pass
-    MAX_STEP_SIZE raises ExplorationError.  Kept apart from _KeyRules for
-    the fr-transport's many sides: no regular expression, no end table."""
-    redexes = key.count(".M")
-    if redexes * len(key) > MAX_STEP_SIZE:
-        _refuse_step(redexes, key)
-    out = []
-    i = key.find(".M")
-    while i >= 0:
-        j = i + 2
-        if key[j] != "M":
-            end = subterm_end(key, j)
-            arg = key[j:end]
-            out.append(f"{key[:i + 1]}{arg}{arg}{key[end:]}")
-        i = key.find(".M", j)
-    return out
 
 
 def explore_component(sys: CLSystem, t: Term, direction: str = "up",
@@ -293,31 +257,3 @@ def _read_joins(t: Term, rules: _KeyRules,
     unjoined = report.failures if g.is_complete else report.inconclusive
     unjoined.extend((terms[i], terms[j]) for i, j in apart)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Extremal elements of the Mockingbird poset by pattern avoidance
-
-
-def key_extremal_flags(key: str) -> tuple[bool, bool]:
-    """Whether the term over {M} with this prefix key is maximal and
-    whether it is minimal in its component, by the factors it avoids.
-
-    A factor M(x1 x2) reads ".M." in the key.  A factor (x1 x2)(x1 x2) is
-    an application whose two sides are equal applications: one pass in
-    reverse records where the subterm at each position ends, which gives
-    both sides of every application, and compares them only when their
-    lengths match."""
-    maximal = ".M." not in key
-    end = [0] * len(key)
-    for i in range(len(key) - 1, -1, -1):
-        if key[i] != ".":
-            end[i] = i + 1
-            continue
-        j = end[i + 1]  # the left side is key[i + 1:j], the right key[j:e]
-        e = end[i] = end[j]
-        if key[i + 1] == "." and j - i - 1 == e - j and \
-                key[i + 1:j] == key[j:e]:
-            return maximal, False
-    return maximal, True
-

@@ -11,8 +11,8 @@ of its own (decode_term's ``shared``).  Equality is structural and runs over
 a stack of pairs, so terms built apart compare at any depth.
 
 The parser and the printer each read any depth in one pass, without
-recursion.  Rewriting and substitution run on prefix keys (term_key,
-encode_term; stepped in rewrite), not on terms.
+recursion.  Rewriting and substitution run on prefix keys (term_key;
+stepped in rewrite, and over {M} in mterms), not on terms.
 """
 
 from __future__ import annotations
@@ -230,9 +230,7 @@ def subterms_preorder(t: Term) -> Iterator[tuple[int, Term]]:
 #
 # "." is an application and each leaf one token from a table, so the key
 # of an application is "." followed by the keys of its two sides and a
-# subterm is a substring.  Over {M} (encode_term), M is "M".
-
-_VARIABLE_TOKENS = 0x100  # first code point handed out to variables
+# subterm is a substring.  The tokens of terms over {M} are in mterms.
 
 
 def term_key(t: Term, tokens: Mapping[Term, str]) -> str:
@@ -249,23 +247,6 @@ def term_key(t: Term, tokens: Mapping[Term, str]) -> str:
         else:
             out.append(tokens[u])
     return "".join(out)
-
-
-class _VariableTokens(dict):
-    """Leaf-to-token table over {M} that gives a new variable the next token."""
-
-    def __missing__(self, u: Term) -> str:
-        if isinstance(u, Basic):
-            raise TermError(f"foreign combinator {u.name} (alphabet is {{M}})")
-        token = self[u] = chr(_VARIABLE_TOKENS + len(self))
-        return token
-
-
-def encode_term(t: Term) -> tuple[str, dict[str, Term]]:
-    """Prefix key of a term over {M}, and the table from token to leaf that
-    decodes it."""
-    tokens = _VariableTokens({basic("M"): "M"})
-    return term_key(t, tokens), {token: u for u, token in tokens.items()}
 
 
 def decode_term(key: str, leaves: Mapping[str, Term],

@@ -19,9 +19,10 @@ from mockingbird.forests import (
     ladder,
     render_forest,
 )
+from mockingbird.mterms import encode_term, key_redex_successors
 from mockingbird.posets import ExplorationError
-from mockingbird.rewrite import explore_component, key_redex_successors, load_system
-from mockingbird.terms import TermError, decode_term, encode_term, parse_term, subterm_end
+from mockingbird.rewrite import explore_component, load_system
+from mockingbird.terms import TermError, decode_term, parse_term, subterm_end
 from tests_util import (all_combinators, erase_black, fire_redex, fr_map_recursive,
                         is_white_only, progressing_redexes, right_comb, step_successors)
 

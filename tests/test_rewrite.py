@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mockingbird.mterms import encode_term, key_extremal_flags
 from mockingbird.posets import poset_analysis
 from mockingbird.rewrite import (
     MAX_STEP_SIZE,
@@ -11,12 +12,11 @@ from mockingbird.rewrite import (
     _KeyRules,
     explore_component,
     is_hierarchical,
-    key_extremal_flags,
     load_system,
     local_confluence_probe,
     upset_confluence,
 )
-from mockingbird.terms import (Application, app, basic, encode_term, parse_term,
+from mockingbird.terms import (Application, app, basic, parse_term,
                                render_term, subterms_preorder, term_key, var)
 from tests_util import (
     all_combinators,

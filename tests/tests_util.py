@@ -24,9 +24,10 @@ from mockingbird.bridge import IsoReport, fr_key
 from mockingbird.forests import (BLACK, EMPTY, WHITE, DupForest, IncompatibleForests,
                                  compact_key, forest_upset, key_successors, meet,
                                  render_forest)
+from mockingbird.mterms import encode_term, key_redex_successors
 from mockingbird.oracle import OracleError, combinator_keys
 from mockingbird.posets import ExplorationError, ExploredPoset, down_sets, poset_analysis
-from mockingbird.rewrite import ConfluenceReport, _KeyRules, key_redex_successors
+from mockingbird.rewrite import ConfluenceReport, _KeyRules
 from mockingbird.series import SeriesError, TruncSeries
 from mockingbird.terms import (
     Application,
@@ -38,7 +39,6 @@ from mockingbird.terms import (
     app,
     basic,
     decode_term,
-    encode_term,
     render_term,
     subterms_preorder,
     var,
