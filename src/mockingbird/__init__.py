@@ -7,7 +7,7 @@ Modules:
     rewrite    combinatory logic systems, one-step rewriting on prefix keys,
                component exploration, hierarchy/confluence analysis
     posets     explored digraphs and order analysis (Hasse, lattice checks)
-    forests    duplicative forests, the duplication step, meet/join
+    forests    duplicative forests, the duplication step, upset counts, meet/join
     bridge     the term-to-forest translation fr and isomorphism verification
     series     truncated integer power series and the counting equations
     sequences  closed recurrences, b-file comparison, cross-checks

@@ -5,22 +5,22 @@ Terms are handled as prefix keys (mterms.encode_term) and forests as compact
 keys, and both are stepped by string surgery (mterms.key_redex_successors,
 forests.key_successors).  The verification transports fr along rewrite
 steps over the upset of each side of the start, not over the whole upset,
-which splits into products of the sides' upsets (mterms.split).  Its
-forests split with it: fa fb for a pair, w(fb') for M b', b(fb fb') for
-a pair of up(b) with itself.  Steps and white nodes split side by side in
-the same order, so the transport holds on the product exactly when it
-holds on each side, and the counts are products of the side counts.
+which splits into products of the sides' upsets (mterms.split,
+forests.upset_counts).  Its forests split with it: fa fb for a pair,
+w(fb') for M b', b(fb fb') for a pair of up(b) with itself.  Steps and
+white nodes split side by side in the same order, so the transport holds
+on the product exactly when it holds on each side.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from math import isqrt
 from typing import Optional
 
-from .forests import DupForest, key_successors, parse_forest
+from .forests import DupForest, key_successors, parse_forest, upset_counts, wrap_size
 from .mterms import encode_term, key_redex_successors, split
 from .posets import DEFAULT_BUDGET, ExplorationError
 from .terms import Term, decode_term, render_term
@@ -41,8 +41,8 @@ def fr_map(t: Term) -> DupForest:
 @dataclass
 class IsoReport:
     term: Term
-    term_count: int
-    forest_count: int
+    term_count: int  # the product of the side walks' counts
+    forest_count: int  # forests.upset_counts of fr t if isomorphic, else term_count
     fr_injective_on_upset: bool
     cover_preserving: bool
     method: str  # "fr-transport"
@@ -110,13 +110,13 @@ def _transport(side: str, cap: int) -> tuple[dict[str, str], str, str]:
 def _fr_injective(side_a: dict[str, str], side_b: dict[str, str], wrapped: bool) -> bool:
     """Whether literal fr is injective on the upset with these sides (term
     key to transported forest key): fa fb for the pairs of sides, and, when
-    wrapped (side_a is then side_b), w(fb) for each M b'.  Each distinct
-    side's images are read by fr_key off its term keys, one side at a time,
-    and the check stops at the first repeated image."""
+    wrapped (side_a is then side_b), w(fb) for each M b'.  A side's images
+    are its start's transported forest and fr_key of its other term keys,
+    read one side at a time up to the first repeated image."""
     sides = []
     for side in [side_a] if side_b is side_a else [side_a, side_b]:
-        seen: set[str] = set()
-        for key in side:
+        seen = {side[next(iter(side))]}
+        for key in islice(side, 1, None):
             image = fr_key(key)
             if image in seen:
                 return False
@@ -156,25 +156,26 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
     out-degrees and is injective on the whole upset exactly when it is on
     each side's upset.  A step keeps the number of top-level trees of a
     forest, so fa fb splits in one way and the side forests count the
-    product's.  The upset has n_a * n_b elements, or n_b + n_b**2 when
-    a is M and b is not (the elements M b' and the pairs of up(b)); more
-    than budget raises ExplorationError, and each side walk stops at the
-    largest side count the budget admits.  A side too large to step
-    raises ExplorationError too (posets.MAX_STEP_SIZE).
+    product's.  term_count is n_a * n_b, or wrap_size(n_b) when a is M and
+    b is not; more than budget raises ExplorationError, and each side walk
+    stops at the largest side count the budget admits.  A side too large
+    to step raises ExplorationError too (posets.MAX_STEP_SIZE).
 
     fr of a pair of sides is the concatenation of the sides' fr (the
     left-application rule of fr_key), and fr of M b' is w(fr b'), so
-    fr_injective_on_upset is read off the sides' term keys.
+    fr_injective_on_upset is read off the sides' term keys, and
+    forest_count by forests.upset_counts off fr of the start, fa fb or w(fb).
 
     If the transport breaks down on a side s, the verdict is
     ``inconclusive(<detail>)``, naming the term s b or a s: a failed
-    transport does not prove the posets non-isomorphic.  The counts are
+    transport does not prove the posets non-isomorphic.  Both counts are
     then the product's over the side elements reached.
     """
     start, leaves = encode_term(t)
     if start[0] != ".":  # a leaf fires no redex, and fr maps it to no node
-        return IsoReport(t, term_count=1, forest_count=1, fr_injective_on_upset=True,
-                         cover_preserving=True, method="fr-transport", verdict="isomorphic")
+        return IsoReport(t, term_count=1, forest_count=upset_counts(fr_key(start))[0],
+                         fr_injective_on_upset=True, cover_preserving=True,
+                         method="fr-transport", verdict="isomorphic")
     budget = max(budget, 1)  # the start is held whatever the budget
     a0, b0 = split(start)
     wrapped = a0 == "M" != b0
@@ -187,12 +188,13 @@ def verify_fr_isomorphism(t: Term, budget: int = DEFAULT_BUDGET) -> IsoReport:
         if len(side_b) > cap:
             raise ExplorationError("budget exhausted during verification")
         culprit = "." + a0 + culprit
-    n_b = len(side_b)
-    count = n_b + n_b * n_b if wrapped else len(side_a) * n_b
+    n_b, fb = len(side_b), side_b[b0]
+    count = wrap_size(n_b) if wrapped else len(side_a) * n_b
+    start_image = (f"w({fb})" if fb else "w") if wrapped else side_a[a0] + fb
     injective = not failure and _fr_injective(side_b if wrapped else side_a, side_b, wrapped)
     detail = f"{failure} at {render_term(decode_term(culprit, leaves))}" if failure else ""
     return IsoReport(
-        term=t, term_count=count, forest_count=count,
+        term=t, term_count=count, forest_count=count if failure else upset_counts(start_image)[0],
         fr_injective_on_upset=injective,
         cover_preserving=failure in ("", "forest collision"),
         method="fr-transport",

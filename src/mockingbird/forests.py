@@ -1,5 +1,5 @@
 """Duplicative forests: planar trees of white/black nodes, the duplication
-step, upset exploration, and the meet/join lattice operations.
+step, upset exploration and counts, and the meet/join lattice operations.
 
 A forest is a tuple of trees; a tree is a pair ``(color, children)`` with
 color ``"w"`` or ``"b"`` and children again a forest.  Nested tuples are the
@@ -158,6 +158,36 @@ def forest_upset(f: DupForest, budget: int = DEFAULT_BUDGET) -> ExploredPoset:
     trees: dict[str, DupTree] = {}
     g.nodes = [_parse(key, trees) for key in g.nodes]
     return g
+
+
+def wrap_size(n: int) -> int:
+    """Elements of up(w(g)) for n elements of up(g) (upset_counts)."""
+    return n + n * n
+
+
+def wrap_edges(n: int, e: int) -> int:
+    """Cover edges of up(w(g)) for n elements and e covers of up(g)."""
+    return e + n + 2 * e * n
+
+
+def upset_counts(key: str) -> tuple[int, int]:
+    """Elements and cover edges of the upset of the forest with this compact
+    key, in one pass.  A step blackens one white node, so a forest's upset
+    is the product of its trees' (Stanley, *EC1* §3.2): n n' elements and
+    e n' + n e' covers; a black node's children count as its siblings.
+    up(w(g)) wraps up(g): w(g') ordered as up(g), then the pairs b(h h') of
+    up(g)^2, w(g') covered by b(g' g') alone (wrap_size, wrap_edges)."""
+    stack = [(1, 0, False)]  # each open tree: its children's product so far, white
+    for c in key.replace("b(", "[").replace("w(", "("):  # a token per character
+        if c == "(" or c == "[":
+            stack.append((1, 0, c == "("))
+        elif c == ")" or c == WHITE:  # a tree ends; a lone w is a white leaf
+            m, f, white = stack.pop() if c == ")" else (1, 0, True)
+            if white:
+                m, f = wrap_size(m), wrap_edges(m, f)
+            n, e, white = stack[-1]
+            stack[-1] = n * m, e * m + n * f, white
+    return stack[0][:2]
 
 
 # ---------------------------------------------------------------------------

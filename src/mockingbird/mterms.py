@@ -29,10 +29,9 @@ def encode_term(t: Term) -> tuple[str, dict[str, Term]]:
 def split(key: str) -> tuple[str, str]:
     """The sides a and b of the application with prefix key "." + a + b.
 
-    The upset splits with them into products of posets (Stanley,
-    *Enumerative Combinatorics* vol. 1, §3.2): the root fires only when a
-    is M, so for a not M, up(a b) is up(a) x up(b), and for b not M,
-    up(M b) is the elements M b' for b' in up(b) together with up(b)^2."""
+    The root fires only when a is M, so the upset splits with them as
+    forests.upset_counts states: up(a) x up(b) for a not M, and for b not
+    M, up(M b) wraps up(b): the elements M b' and the pairs of up(b)^2."""
     end = subterm_end(key, 1)
     return key[1:end], key[end:]
 

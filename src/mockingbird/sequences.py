@@ -18,6 +18,7 @@ from operator import mul
 from typing import Optional
 
 from . import series as serieslib
+from .forests import wrap_edges, wrap_size
 from .oracle import (
     MAX_CENSUS_DEGREE,
     MAX_EXACT_D,
@@ -75,18 +76,15 @@ class SequenceTable:
 
 def _sizes_ladder(count: int) -> list[int]:
     out = [1]
-    while len(out) < count:
-        a = out[-1]
-        out.append(a + a * a)
+    while len(out) < count:  # ladder(d + 1) is w(ladder(d))
+        out.append(wrap_size(out[-1]))
     return out[:count]
 
 
 def _edges_ladder(count: int) -> list[int]:
-    sizes = _sizes_ladder(count - 1)  # edges at d read sizes at d-1
     out = [0]
-    while len(out) < count:
-        e, s = out[-1], sizes[len(out) - 1]
-        out.append(e + s + 2 * e * s)
+    for s in _sizes_ladder(count - 1):  # edges at d read sizes at d-1
+        out.append(wrap_edges(s, out[-1]))
     return out[:count]
 
 

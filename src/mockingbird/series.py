@@ -13,7 +13,8 @@ each is computed once, from coefficients already known: the lazy scheme of
 van der Hoeven, "Relax, but don't be too lazy" (2002).  A product is the
 naive sum over pairs, but a square F^2 reads each pair F_i F_(r-i) with
 i < r - i once and doubles it, so it makes about half the big-integer
-products.  The edges Phi reads the sizes fixpoint G the same way, as zG.
+products.  The sizes and edges equations count the ladders apart from
+forests.wrap_size and wrap_edges; the edges Phi reads the sizes G as zG.
 
 The sixth, the catalytic interval family, is one level loop,
 ``interval_levels``, run from two sets of start rows: the recurrence of

@@ -3,6 +3,7 @@ import re
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mockingbird import bridge, terms
 from mockingbird.bridge import (
@@ -18,13 +19,15 @@ from mockingbird.forests import (
     key_successors,
     ladder,
     render_forest,
+    upset_counts,
 )
 from mockingbird.mterms import encode_term, key_redex_successors
-from mockingbird.posets import ExplorationError
+from mockingbird.posets import ExplorationError, poset_analysis
 from mockingbird.rewrite import explore_component, load_system
 from mockingbird.terms import TermError, decode_term, parse_term, subterm_end
 from tests_util import (all_combinators, erase_black, fire_redex, fr_map_recursive,
-                        is_white_only, progressing_redexes, right_comb, step_successors)
+                        is_white_only, progressing_redexes, random_m_term, right_comb,
+                        step_successors)
 
 SYS_M = load_system("builtin:M")
 
@@ -281,6 +284,37 @@ class TestIsomorphism:
         assert rep.isomorphic, rep.verdict
         assert rep.term_count == rep.forest_count == \
             len(explore_component(SYS_M, t, "up").nodes)
+
+    @settings(deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 10), st.integers(0, 2))
+    def test_upset_counts_of_fr_equal_term_walk(self, rng, degree, variables):
+        # the bridge: up(t) and up(fr t) have as many elements and covers
+        t = random_m_term(rng, degree, variables)
+        g = explore_component(SYS_M, t, "up", budget=2_000)
+        assume(g.is_complete)
+        poset_analysis(g, check_lattice=False)
+        assert upset_counts(fr_key(encode_term(t)[0])) == \
+            (len(g.nodes), sum(map(len, g.covers)))
+
+    def test_forest_count_read_off_fr_of_the_start(self, monkeypatch):
+        # forest_count is upset_counts of fr of the start, not a copy of
+        # term_count; an inconclusive verdict reports the walk's count
+        seen = []
+
+        def stub(key):
+            seen.append(key)
+            return 7, 0
+
+        monkeypatch.setattr(bridge, "upset_counts", stub)
+        for text, key in [("M(M(MM))", "w(w)"), ("M(MM)(M(MM))", "ww"), ("Mx1", "w"),
+                          ("x1", "")]:
+            rep = verify_fr_isomorphism(parse_term(text, {"M"}))
+            assert rep.isomorphic
+            assert (rep.term_count, rep.forest_count, seen.pop()) == \
+                (len(explore_component(SYS_M, parse_term(text, {"M"}), "up").nodes), 7, key)
+        monkeypatch.setattr(bridge, "key_successors", lambda key: key_successors(key)[::-1])
+        rep = verify_fr_isomorphism(TM("M(M(M(MM)))"))
+        assert not rep.isomorphic and rep.forest_count == rep.term_count and not seen
 
     def test_builds_no_terms(self, monkeypatch):
         # a count of live terms after the call would miss one built and

@@ -3,7 +3,7 @@ import zlib
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mockingbird.bridge import fr_map
 from mockingbird.forests import (
@@ -20,8 +20,10 @@ from mockingbird.forests import (
     meet,
     parse_forest,
     render_forest,
+    upset_counts,
 )
 from mockingbird.posets import DEFAULT_BUDGET, down_sets, poset_analysis
+from mockingbird.sequences import GOLDEN_PREFIXES
 from tests_util import (
     black_count,
     bound_reference,
@@ -254,6 +256,36 @@ class TestUpset:
 
         walk(0, 0)
         assert len(lengths) > 1
+
+
+# forests with black nodes and with repeated subtrees: b(g g) is the shape a
+# step leaves behind, at any depth
+forests_with_repeats = st.recursive(
+    st.just(EMPTY),
+    lambda children: st.one_of(
+        st.lists(st.tuples(st.sampled_from((WHITE, BLACK)), children),
+                 max_size=3).map(tuple),
+        children.map(lambda g: ((BLACK, g + g),)),
+        children.map(lambda g: g + g)),
+    max_leaves=12)
+
+
+class TestUpsetCounts:
+    @settings(deadline=None)
+    @given(forests_with_repeats)
+    def test_counts_equal_the_walk(self, f):
+        g = forest_upset(f, budget=2_000)
+        assume(g.is_complete)
+        poset_analysis(g, check_lattice=False)
+        assert upset_counts(compact_key(f)) == (len(g.nodes), sum(map(len, g.covers)))
+
+    def test_golden_prefixes(self):
+        # the golden prefixes prepend M(0), so index d + 1 counts
+        # up(ladder(d)), and fr of the right comb r_d is ladder(d - 1)
+        golden = list(zip(GOLDEN_PREFIXES["sizes"], GOLDEN_PREFIXES["edges"]))
+        assert [upset_counts(compact_key(ladder(d))) for d in range(7)] == golden[1:]
+        assert [upset_counts(compact_key(fr_map(right_comb(d))))
+                for d in range(1, 8)] == golden[1:]
 
 
 def random_white_forest(rng, budget):
