@@ -178,15 +178,19 @@ def upset_counts(key: str) -> tuple[int, int]:
     up(w(g)) wraps up(g): w(g') ordered as up(g), then the pairs b(h h') of
     up(g)^2, w(g') covered by b(g' g') alone (wrap_size, wrap_edges)."""
     stack = [(1, 0, False)]  # each open tree: its children's product so far, white
-    for c in key.replace("b(", "[").replace("w(", "("):  # a token per character
-        if c == "(" or c == "[":
-            stack.append((1, 0, c == "("))
-        elif c == ")" or c == WHITE:  # a tree ends; a lone w is a white leaf
+    for c in key.replace("b(", "[").replace("w(", "{"):  # a token per character
+        if c == "{" or c == "[":
+            stack.append((1, 0, c == "{"))
+        elif c == WHITE or c == ")" and len(stack) > 1:  # a tree ends, or a white leaf
             m, f, white = stack.pop() if c == ")" else (1, 0, True)
             if white:
                 m, f = wrap_size(m), wrap_edges(m, f)
             n, e, white = stack[-1]
             stack[-1] = n * m, e * m + n * f, white
+        elif c != BLACK and not c.isspace():  # a bare "(" or ")", or no token
+            raise ForestError(f"malformed forest key {key!r}")
+    if len(stack) > 1 or "[" in key or "{" in key:  # a tree left open, or "[" or "{"
+        raise ForestError(f"malformed forest key {key!r}")
     return stack[0][:2]
 
 

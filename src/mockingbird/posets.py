@@ -10,12 +10,12 @@ extremal elements, and the lattice property.
 
 Reachability is held as one Python integer bitset per node: ``reach[i]`` is
 the up-set of i, computed by :func:`reachability` over the successor lists
-of an exploration, complete or truncated (so the confluence probe reads
-its joins off the same code).  The lattice check uses only these up-sets.
+of an exploration.  The lattice check uses only these up-sets.
 A finite non-empty poset is a lattice iff it has a bottom and every pair
 has a join, because the meet of a and b is the join of their common lower
 bounds, a set that holds the bottom.  :func:`down_sets` gives the
-down-sets as the reachability of the reversed step graph.
+down-sets as the reachability of the reversed step graph; cut to the first
+k nodes of any walk, they give the probe's joins (:func:`up_meets`).
 """
 
 from __future__ import annotations
@@ -126,14 +126,16 @@ def _topological_order(adj: list[list[int]]) -> Optional[list[int]]:
     return order if len(order) == n else None
 
 
-def reachability(adj: list[list[int]]) -> tuple[bool, list[int]]:
+def reachability(adj: list[list[int]],
+                 width: Optional[int] = None) -> tuple[bool, list[int]]:
     """Whether the digraph adj is acyclic, and its reachability bitsets:
-    reach[i] has bit j iff j is reachable from i, i itself included.
+    reach[i] has bit j < width (default: all) iff j is reachable from i.
 
     One pass in reverse topological order when there is one; on a cyclic
     graph, passes in reverse node order until no bitset grows."""
     topo = _topological_order(adj)
-    reach = [1 << i for i in range(len(adj))]
+    width = len(adj) if width is None else min(width, len(adj))
+    reach = [1 << i for i in range(width)] + [0] * (len(adj) - width)
     grew = True
     while grew:
         grew = False
@@ -196,12 +198,22 @@ def poset_analysis(g: ExploredPoset, check_lattice: bool = True) -> ExploredPose
     return g
 
 
-def down_sets(g: ExploredPoset) -> list[int]:
-    """Transpose of the reachability bitsets: down[j] has bit i iff i <= j.
-
-    This is the reachability of the reversed step graph."""
+def down_sets(g: ExploredPoset, width: Optional[int] = None) -> list[int]:
+    """The reachability of the reversed step graph, so the transpose of the
+    up-sets: down[j] has bit i < width (default: all) iff i <= j."""
     radj: list[list[int]] = [[] for _ in g.nodes]
     for i, succs in enumerate(g.succ):
         for j in succs:
             radj[j].append(i)
-    return reachability(radj)[1]
+    return reachability(radj, width)[1]
+
+
+def up_meets(g: ExploredPoset, width: int) -> list[int]:
+    """meets[i] has bit j iff nodes i, j < width lie below one node of g."""
+    meets = [0] * width
+    for label in set(down_sets(g, width)):
+        bits = label
+        while bits:
+            meets[(bits & -bits).bit_length() - 1] |= label
+            bits &= bits - 1
+    return meets

@@ -4,7 +4,8 @@ The step, the upset exploration and the reduction chain run on prefix
 keys (terms.term_key), with no recursion over the term; each term
 handed back is decoded once.  Keys sort as fully parenthesized terms, so
 node order is the same in every process.  The confluence probe reads every
-pair's join off one exploration of the upset, which ``check`` shares.
+pair's join off one exploration of the upset, which ``check`` shares, in
+n k bits for k successors (posets.up_meets).
 The step over {M} that the fr-transport runs is in mterms; both steps
 refuse by posets.MAX_STEP_SIZE.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
 from .posets import (DEFAULT_BUDGET, MAX_STEP_SIZE, ExploredPoset, explore,
-                     reachability, refuse_step)
+                     refuse_step, up_meets)
 from .terms import (Term, TermError, Variable, basic, contains_basic, decode_term,
                     parse_term, subterm_ends, subterms_preorder,
                     term_key, var, variable_indices)
@@ -233,7 +234,7 @@ def local_confluence_probe(sys: CLSystem, t: Term,
 
 def upset_confluence(sys: CLSystem, g: ExploredPoset) -> ConfluenceReport:
     """The report of local_confluence_probe on the start of g, read off g:
-    an upset as explore_component returns it, analysed or not."""
+    an upset as explore_component returns it, complete or truncated."""
     return _read_joins(g.nodes[0], _KeyRules(sys, g.nodes[0]), lambda: g)
 
 
@@ -246,10 +247,9 @@ def _read_joins(t: Term, rules: _KeyRules,
     if len(succs) < 2:
         return ConfluenceReport(term=t, pairs_checked=0, joinable_pairs=0)
     g = walk()
-    reach = reachability(g.succ)[1] if g.reach is None else g.reach
-    ups = reach[1:len(succs) + 1] + [0] * (len(succs) + 1 - len(reach))
-    apart = [(i, j) for i, up in enumerate(ups)
-             for j in range(i + 1, len(ups)) if not up & ups[j]]
+    meets = up_meets(g, len(succs) + 1)[1:]
+    apart = [(i, j) for i, meet in enumerate(meets)
+             for j in range(i + 1, len(meets)) if not meet >> j + 1 & 1]
     pairs = len(succs) * (len(succs) - 1) // 2
     report = ConfluenceReport(term=t, pairs_checked=pairs,
                               joinable_pairs=pairs - len(apart))

@@ -213,27 +213,30 @@ class TestReduceCheckFr:
 
     def test_check_walks_once(self, capsys, monkeypatch):
         # the probe reads its joins off the upset walked for the verdicts,
-        # and off its reachability table when the analysis made one
+        # in a pass of k + 1 bits per node for the k = 3 successors of the
+        # start; only a complete walk also gets the analysis's full pass
         calls = []
+        explore, reachability = rewrite.explore, posets.reachability
 
-        def counting(name, function):
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return function(*args, **kwargs)
-            return counted
+        def counted_explore(*args, **kwargs):
+            calls.append("explore")
+            return explore(*args, **kwargs)
 
-        monkeypatch.setattr(rewrite, "explore",
-                            counting("explore", rewrite.explore))
-        reach = counting("reachability", posets.reachability)
-        monkeypatch.setattr(posets, "reachability", reach)
-        monkeypatch.setattr(rewrite, "reachability", reach)
-        for argv, expected in ((["M(M(M(MM)))"], 0),
-                               (["--budget", "10", "M(M(M(MM)))"], 1)):
+        def counted_reachability(adj, width=None):
+            calls.append(f"reachability of width {width}")
+            return reachability(adj, width)
+
+        monkeypatch.setattr(rewrite, "explore", counted_explore)
+        monkeypatch.setattr(posets, "reachability", counted_reachability)
+        for argv, expected, passes in (
+                (["M(M(M(MM)))"], 0, ["None", "4"]),
+                (["--budget", "10", "M(M(M(MM)))"], 1, ["4"])):
             calls.clear()
             code, out, _ = run(capsys, "check", *argv)
             assert code == expected
             assert re.search(r"^confluence pairs +3$", out, re.M)
-            assert sorted(calls) == ["explore", "reachability"]
+            assert calls == ["explore"] + [f"reachability of width {width}"
+                                           for width in passes]
 
     def test_check_ks(self, capsys):
         code, out, _ = run(capsys, "check", "S(KKS)K(SS)", "--system",

@@ -288,6 +288,27 @@ class TestUpsetCounts:
                 for d in range(1, 8)] == golden[1:]
 
 
+    @pytest.mark.parametrize("key", ["w(", "x", "(((", "w)w"])
+    def test_malformed_key_raises(self, key):
+        with pytest.raises(ForestError):
+            parse_forest(key)
+        with pytest.raises(ForestError):
+            upset_counts(key)
+
+    @settings(max_examples=1_000)
+    @given(st.text(alphabet="wb() x[{", max_size=12))
+    def test_raises_where_parse_forest_raises(self, text):
+        # "[" and "{" are no tokens, though the reader marks "b(" and "w("
+        # with them
+        try:
+            key = compact_key(parse_forest(text))
+        except ForestError:
+            with pytest.raises(ForestError):
+                upset_counts(text)
+        else:
+            assert upset_counts(text) == upset_counts(key)
+
+
 def random_white_forest(rng, budget):
     trees = []
     while budget > 0 and rng.random() < 0.6:

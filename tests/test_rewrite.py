@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mockingbird import posets
 from mockingbird.mterms import encode_term, key_extremal_flags
-from mockingbird.posets import poset_analysis
+from mockingbird.posets import poset_analysis, reachability
 from mockingbird.rewrite import (
     MAX_STEP_SIZE,
     SystemError_,
@@ -339,6 +340,37 @@ class TestConfluence:
                         assert kept_up_set(g, index[s1]) & \
                             kept_up_set(g, index[s2])
         assert complete >= 100 and truncated >= 3
+
+    OMEGA = "S(SKK)(SKK)(S(SKK)(SKK))"  # steps to itself in three steps
+
+    @pytest.mark.parametrize("budget", [5, 50, 2_000])
+    @pytest.mark.parametrize("text", [OMEGA + "(K(SKK)S)", f"K({OMEGA})({OMEGA})"])
+    def test_matches_pairwise_walks_on_cyclic_walks(self, text, budget):
+        # past budget 5 the walk holds a cycle, so the labels of the join
+        # reader run to a fixpoint
+        t = parse_term(text, {"K", "S"})
+        g = explore_component(SYS_KS, t, "up", budget=budget)
+        assert reachability(g.succ)[0] is (budget == 5)
+        report = local_confluence_probe(SYS_KS, t, budget)
+        assert report.pairs_checked > 0
+        assert self.fields(report) == self.fields(probe_reference(SYS_KS, t, budget))
+        assert self.fields(upset_confluence(SYS_KS, g)) == self.fields(report)
+
+    def test_labels_hold_only_the_successors(self, monkeypatch):
+        # each node of the walk holds one bit per successor of the start,
+        # and one for the start: k + 1 bits, however many nodes the walk keeps
+        widest = []
+
+        def spy(adj, width=None):
+            acyclic, reach = reachability(adj, width)
+            widest.append(max(r.bit_length() for r in reach))
+            return acyclic, reach
+
+        monkeypatch.setattr(posets, "reachability", spy)
+        t = parse_term("S(SS)(SS)(SS(KSS)(SS))", {"K", "S"})
+        report = local_confluence_probe(SYS_KS, t, 20_000)
+        assert report.pairs_checked == 3 and report.all_joinable
+        assert widest and max(widest) <= 3 + 1
 
     def test_steps_each_kept_node_once(self, monkeypatch):
         calls = []
